@@ -21,6 +21,7 @@ import numpy as np
 
 from hapod import (
     BurgersConfig,
+    IncrementalSession,
     PodBackend,
     SnapshotBlock,
     actual_mean_error,
@@ -28,7 +29,6 @@ from hapod import (
     build_balanced,
     burgers_snapshots,
     distribute_columns,
-    incremental_open,
     pod,
     run_parallel,
 )
@@ -36,7 +36,7 @@ from hapod import (
 
 def chain_run(block, eps_star, omega, block_size):
     planned = math.ceil(block.count / block_size)
-    session = incremental_open(eps_star, omega, planned_block_count=planned)
+    session = IncrementalSession(eps_star, omega, planned_block_count=planned)
     t0 = time.perf_counter()
     for start in range(0, block.count, block_size):
         session.push(SnapshotBlock(block.space, block.values[:, start:start + block_size]))

@@ -13,9 +13,6 @@ from .hierarchy import (
     assign_tolerances,
     distribute_columns,
     error_bound,
-    incremental_finalize,
-    incremental_open,
-    incremental_push,
     run_hapod,
 )
 from .parallel import ExecStats, Schedule, critical_path_time, peak_resident_modes, plan, run_parallel
@@ -73,9 +70,6 @@ __all__ = [
     "error_bound",
     "format_tree_text",
     "gramian",
-    "incremental_finalize",
-    "incremental_open",
-    "incremental_push",
     "parse_tree_text",
     "peak_resident_modes",
     "plan",

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .pod import InnerProductSpace, ModeSet, PodBackend, SnapshotBlock, block_gramian_pod, pod
 from .tree import RootedTree, TreeMaps, build_chain, derive_maps
@@ -34,9 +35,6 @@ __all__ = [
     "actual_mean_error",
     "run_hapod",
     "IncrementalSession",
-    "incremental_open",
-    "incremental_push",
-    "incremental_finalize",
 ]
 
 
@@ -179,6 +177,21 @@ def distribute_columns(tree: RootedTree, block: SnapshotBlock, counts=None,
     return LeafAssignment(blocks)
 
 
+def _check_rule(target: float, omega: float) -> None:
+    if target <= 0.0:
+        raise ValueError("target must be positive")
+    if not (0.0 <= omega <= 1.0):
+        raise ValueError(f"omega must lie in [0, 1], got {omega}")
+
+
+def _tolerance(count: int, target: float, omega: float, depth: int, is_root: bool) -> float:
+    """The tolerance rule for one node with `count` snapshots below it in a
+    tree of `depth` levels."""
+    if is_root:
+        return math.sqrt(count) * omega * target
+    return math.sqrt(count) * math.sqrt(1.0 - omega * omega) / math.sqrt(depth - 1) * target
+
+
 def assign_tolerances(tree: RootedTree, leaf_counts, target: float, omega: float = 0.75,
                       zero_leaf_tolerance: bool = False, maps: TreeMaps | None = None) -> ToleranceAssignment:
     """Per-node tolerances that certify a mean squared projection error <= target**2.
@@ -194,31 +207,21 @@ def assign_tolerances(tree: RootedTree, leaf_counts, target: float, omega: float
     """
     if isinstance(leaf_counts, LeafAssignment):
         leaf_counts = leaf_counts.counts()
-    if target <= 0.0:
-        raise ValueError("target must be positive")
-    if not (0.0 <= omega <= 1.0):
-        raise ValueError(f"omega must lie in [0, 1], got {omega}")
+    _check_rule(target, omega)
     maps = maps if maps is not None else derive_maps(tree, leaf_counts)
     if maps.subordinate_leaf_counts is None:
         maps = derive_maps(tree, leaf_counts)
-    total = maps.subordinate_leaf_counts[tree.root]
-    if total == 0:
+    if maps.subordinate_leaf_counts[tree.root] == 0:
         raise ValueError("no snapshots anywhere in the tree")
     if maps.depth < 2 and omega < 1.0:
         raise ValueError(
             "a depth-1 tree leaves no non-root budget to spend; use omega = 1 or a deeper tree"
         )
-    eps = [0.0] * tree.node_count
-    eps[tree.root] = math.sqrt(total) * omega * target
-    if maps.depth >= 2:
-        spread = math.sqrt(1.0 - omega * omega) / math.sqrt(maps.depth - 1)
-        for v in range(tree.node_count):
-            if v == tree.root:
-                continue
-            if zero_leaf_tolerance and not tree.children[v]:
-                eps[v] = 0.0
-            else:
-                eps[v] = math.sqrt(maps.subordinate_leaf_counts[v]) * spread * target
+    eps = [
+        0.0 if zero_leaf_tolerance and not tree.children[v] and v != tree.root
+        else _tolerance(maps.subordinate_leaf_counts[v], target, omega, maps.depth, v == tree.root)
+        for v in range(tree.node_count)
+    ]
     return ToleranceAssignment(tuple(eps), omega=omega, target=target)
 
 
@@ -253,16 +256,21 @@ def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet) -> float:
     return float(np.sum(snapshots.space.norms_sq(resid))) / m
 
 
-def _stacked_diag(mats: list[np.ndarray]) -> np.ndarray:
-    rows = sum(a.shape[0] for a in mats)
-    cols = sum(a.shape[1] for a in mats)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for a in mats:
-        out[r : r + a.shape[0], c : c + a.shape[1]] = a
-        r += a.shape[0]
-        c += a.shape[1]
-    return out
+def _node_report(tree: RootedTree, maps: TreeMaps, node: int, input_count: int,
+                 subordinate_count: int, eps: float = 0.0, out: ModeSet | None = None,
+                 wall: float = 0.0) -> NodeReport:
+    """Report for one node; out=None is a passthrough leaf that emits its input."""
+    return NodeReport(
+        node=node,
+        level=maps.level[node],
+        is_leaf=not tree.children[node],
+        input_count=input_count,
+        subordinate_count=subordinate_count,
+        local_epsilon=eps,
+        output_mode_count=input_count if out is None else out.count,
+        discarded_tail_energy=0.0 if out is None else out.tail_energy,
+        wall_time=wall,
+    )
 
 
 def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAssignment,
@@ -271,7 +279,7 @@ def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAss
 
     child_results is a list of (ModeSet, cumulative right factor or None) in
     child-list order.  Returns (ModeSet, cumulative right factor or None,
-    NodeReport).  Shared by the sequential and the pooled runners.
+    NodeReport).
     """
     eps = tol.epsilons[node]
     space = leaves.space
@@ -291,80 +299,29 @@ def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAss
         out = pod(SnapshotBlock(space, stacked), eps, backend, want_right=track)
         lhat = None
         if track:
-            carried = _stacked_diag([lh for _, lh in child_results])
-            lhat = carried @ out.right
+            lhat = scipy.linalg.block_diag(*[lh for _, lh in child_results]) @ out.right
     wall = time.perf_counter() - started
-    report = NodeReport(
-        node=node,
-        level=maps.level[node],
-        is_leaf=not tree.children[node],
-        input_count=input_count,
-        subordinate_count=maps.subordinate_leaf_counts[node],
-        local_epsilon=eps,
-        output_mode_count=out.count,
-        discarded_tail_energy=out.tail_energy,
-        wall_time=wall,
-    )
+    report = _node_report(tree, maps, node, input_count, maps.subordinate_leaf_counts[node],
+                          eps, out, wall)
     return out, lhat, report
-
-
-def _check_run_inputs(tree, leaves, tol):
-    maps = derive_maps(tree, leaves.counts())
-    extra = set(leaves.blocks) - set(maps.leaves)
-    if extra:
-        raise ValueError(f"assignment names node {min(extra)} which is not a leaf")
-    if len(tol.epsilons) != tree.node_count:
-        raise ValueError(
-            f"tolerance map covers {len(tol.epsilons)} nodes but the tree has {tree.node_count}"
-        )
-    return maps
 
 
 def run_hapod(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignment,
               backend: PodBackend | None = None, track_right_factor: bool = False) -> HapodResult:
-    """Evaluate the whole tree bottom-up, children in child-list order.
+    """Evaluate the whole tree bottom-up in post-order, children in child-list order.
 
-    Child outputs are released as soon as their parent has consumed them, so
-    the resident working set tracks one antichain of the tree rather than the
-    full snapshot set.  With track_right_factor=True the result also carries
-    the cumulative right factor: an (total snapshots) x (mode count) matrix
-    with orthonormal columns relating the final scaled modes back to the
-    original snapshots (rows in depth-first leaf order).
+    This is `run_parallel` with one worker.  Child outputs are released as
+    soon as their parent has consumed them, so the resident working set
+    tracks one antichain of the tree rather than the full snapshot set.  With
+    track_right_factor=True the result also carries the cumulative right
+    factor: an (total snapshots) x (mode count) matrix with orthonormal
+    columns relating the final scaled modes back to the original snapshots
+    (rows in depth-first leaf order).
     """
-    backend = backend or PodBackend()
-    maps = _check_run_inputs(tree, leaves, tol)
+    from .parallel import run_parallel  # parallel builds on this module
 
-    # post-order walk so children are ready before their parent
-    post: list[int] = []
-    stack: list[tuple[int, bool]] = [(tree.root, False)]
-    while stack:
-        v, expanded = stack.pop()
-        if expanded:
-            post.append(v)
-        else:
-            stack.append((v, True))
-            for c in reversed(tree.children[v]):
-                stack.append((c, False))
-
-    live: dict[int, tuple[ModeSet, np.ndarray | None]] = {}
-    reports: dict[int, NodeReport] = {}
-    for v in post:
-        kids = tree.children[v]
-        child_results = [live[c] for c in kids]
-        out, lhat, rep = evaluate_node(tree, maps, v, tol, backend, leaves, child_results, track_right_factor)
-        for c in kids:
-            del live[c]
-        live[v] = (out, lhat)
-        reports[v] = rep
-
-    final, lhat_root = live[tree.root]
-    return HapodResult(
-        modes=final,
-        apriori_error_bound=error_bound(tree, tol, maps=maps),
-        reports=tuple(reports[v] for v in sorted(reports)),
-        root_node=tree.root,
-        right_factor=lhat_root if track_right_factor else None,
-    )
+    return run_parallel(tree, leaves, tol, backend, worker_count=1,
+                        track_right_factor=track_right_factor)[0]
 
 
 class IncrementalSession:
@@ -372,9 +329,9 @@ class IncrementalSession:
 
     Equivalent to run_hapod over build_chain(planned_block_count) with leaf
     tolerances zero and the merge/root tolerances of `assign_tolerances`, but
-    never holds more than the current modes plus one fresh block, and each
-    merge fills the known diagonal part of its Gramian instead of recomputing
-    inner products among the carried modes.
+    never holds more than the current modes plus one fresh block.  Each merge
+    is the same POD of the stacked scaled modes and fresh columns that the
+    chain run's merge node performs.
 
     The planned block count is part of the tolerance rule (the per-merge
     budget divides by sqrt(planned - 1)), so it must be fixed up front.
@@ -385,10 +342,7 @@ class IncrementalSession:
 
     def __init__(self, target: float, omega: float, planned_block_count: int,
                  backend: PodBackend | None = None):
-        if target <= 0.0:
-            raise ValueError("target must be positive")
-        if not (0.0 <= omega <= 1.0):
-            raise ValueError(f"omega must lie in [0, 1], got {omega}")
+        _check_rule(target, omega)
         if planned_block_count < 1:
             raise ValueError("planned_block_count must be at least 1")
         self.target = float(target)
@@ -405,52 +359,25 @@ class IncrementalSession:
         self._eps_sq = 0.0
         self._done = False
 
-    def _merge_epsilon(self, step: int) -> float:
-        # step is 1-based; the last planned step is the root
-        if step == self.planned:
-            return math.sqrt(self._seen) * self.omega * self.target
-        return (
-            math.sqrt(self._seen)
-            * math.sqrt(1.0 - self.omega * self.omega)
-            / math.sqrt(self.planned - 1)
-            * self.target
-        )
-
-    def _merge(self, fresh: SnapshotBlock, eps: float) -> ModeSet:
-        if self._current is None:
-            return pod(fresh, eps, self.backend)
-        if self._current.orthonormal:
-            return block_gramian_pod(self._current, fresh, eps,
-                                     cutoff_factor=self.backend.gram_eig_cutoff_factor)
-        joined = np.hstack([self._current.scaled(), fresh.values])
-        return pod(SnapshotBlock(fresh.space, joined), eps, self.backend)
-
-    def _leaf_report(self, leaf: int, count: int, wall: float) -> NodeReport:
-        return NodeReport(
-            node=leaf,
-            level=self.maps.level[leaf],
-            is_leaf=True,
-            input_count=count,
-            subordinate_count=count,
-            local_epsilon=0.0,
-            output_mode_count=count,
-            discarded_tail_energy=0.0,
-            wall_time=wall,
-        )
-
-    def _merge_report(self, node: int, input_count: int, eps: float,
-                      out: ModeSet, wall: float) -> NodeReport:
-        return NodeReport(
-            node=node,
-            level=self.maps.level[node],
-            is_leaf=not self.tree.children[node],
-            input_count=input_count,
-            subordinate_count=self._seen,
-            local_epsilon=eps,
-            output_mode_count=out.count,
-            discarded_tail_energy=out.tail_energy,
-            wall_time=wall,
-        )
+    def _merge(self, node: int, fresh: SnapshotBlock) -> None:
+        """Fold fresh into the carried modes as the chain's node."""
+        eps = _tolerance(self._seen, self.target, self.omega, self.planned, node == self.tree.root)
+        prior = self._current
+        started = time.perf_counter()
+        if prior is None:
+            merged = pod(fresh, eps, self.backend)
+        elif prior.orthonormal:
+            merged = block_gramian_pod(prior, fresh, eps,
+                                       cutoff_factor=self.backend.gram_eig_cutoff_factor)
+        else:
+            joined = np.hstack([prior.scaled(), fresh.values])
+            merged = pod(SnapshotBlock(fresh.space, joined), eps, self.backend)
+        wall = time.perf_counter() - started
+        input_count = fresh.count + (prior.count if prior is not None else 0)
+        self._current = merged
+        self._eps_sq += eps * eps
+        self._reports.append(_node_report(self.tree, self.maps, node, input_count, self._seen,
+                                          eps, merged, wall))
 
     def push(self, block: SnapshotBlock) -> None:
         if self._done:
@@ -461,26 +388,19 @@ class IncrementalSession:
             self._space = block.space
         elif not self._space.same_as(block.space):
             raise ValueError("pushed block lives in a different space than the first one")
-        step = self._pushed + 1
-        prior_count = self._current.count if self._current is not None else 0
         self._seen += block.count
-        leaf = self.maps.leaf_order[step - 1]
-        if step == 1 and self.planned > 1:
+        leaf = self.maps.leaf_order[self._pushed]
+        if self.planned == 1:
+            self._merge(leaf, block)
+        elif self._pushed == 0:
             # bottom leaf: no POD, the raw block is carried as unit-sigma modes
             started = time.perf_counter()
             self._current = pod(block, 0.0, self.backend)
-            self._reports.append(self._leaf_report(leaf, block.count, time.perf_counter() - started))
+            self._reports.append(_node_report(self.tree, self.maps, leaf, block.count, block.count,
+                                              out=self._current, wall=time.perf_counter() - started))
         else:
-            eps = self._merge_epsilon(step)
-            started = time.perf_counter()
-            merged = self._merge(block, eps)
-            wall = time.perf_counter() - started
-            if self.planned > 1:
-                self._reports.append(self._leaf_report(leaf, block.count, 0.0))
-            node = leaf if self.planned == 1 else self.maps.parent[leaf]
-            self._eps_sq += eps * eps
-            self._current = merged
-            self._reports.append(self._merge_report(node, prior_count + block.count, eps, merged, wall))
+            self._reports.append(_node_report(self.tree, self.maps, leaf, block.count, block.count))
+            self._merge(self.maps.parent[leaf], block)
         self._pushed += 1
 
     def finalize(self) -> HapodResult:
@@ -491,32 +411,11 @@ class IncrementalSession:
         self._done = True
         if self._pushed < self.planned:
             # close out early: one root-tolerance POD over what accumulated
-            eps = math.sqrt(self._seen) * self.omega * self.target
-            prior_count = self._current.count if self._current is not None else 0
-            started = time.perf_counter()
-            empty = SnapshotBlock(self._space, np.zeros((self._space.dimension, 0)))
-            final = self._merge(empty, eps)
-            wall = time.perf_counter() - started
-            self._eps_sq += eps * eps
-            self._current = final
-            self._reports.append(self._merge_report(self.tree.root, prior_count, eps, final, wall))
+            self._merge(self.tree.root,
+                        SnapshotBlock(self._space, np.zeros((self._space.dimension, 0))))
         return HapodResult(
             modes=self._current,
             apriori_error_bound=math.sqrt(self._eps_sq),
             reports=tuple(self._reports),
             root_node=self.tree.root,
-            right_factor=None,
         )
-
-
-def incremental_open(target: float, omega: float, planned_block_count: int,
-                     backend: PodBackend | None = None) -> IncrementalSession:
-    return IncrementalSession(target, omega, planned_block_count, backend)
-
-
-def incremental_push(session: IncrementalSession, block: SnapshotBlock) -> None:
-    session.push(block)
-
-
-def incremental_finalize(session: IncrementalSession) -> HapodResult:
-    return session.finalize()

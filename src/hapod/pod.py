@@ -225,22 +225,16 @@ def _fix_signs(modes: np.ndarray, right: np.ndarray | None):
 
 
 def _reorthonormalize(modes: np.ndarray, space: InnerProductSpace) -> np.ndarray:
-    """One modified Gram-Schmidt sweep in the space's inner product."""
-    q = np.array(modes)
-    for k in range(q.shape[1]):
-        v = q[:, k].copy()
-        for j in range(k):
-            v -= space.gram(q[:, j : j + 1], v[:, None])[0, 0] * q[:, j]
-        nrm = float(np.sqrt(space.norms_sq(v[:, None])[0]))
-        if nrm > 0.0:
-            q[:, k] = v / nrm
-    return q
+    """One QR in the space's Euclidean coordinates, column orientations kept."""
+    q, r = np.linalg.qr(space.weigh(modes))
+    q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)[None, :]
+    return space.unweigh(q)
 
 
 def _finish_modes(modes, right, space, want_right):
-    # Re-orthonormalize only when the mode Gramian actually drifted; one MGS
-    # pass is enough because the drift comes from clustered eigenvalues, not
-    # from loss of rank.
+    # Re-orthonormalize only when the mode Gramian actually drifted; one QR
+    # is enough because the drift comes from clustered eigenvalues, not from
+    # loss of rank.
     n = modes.shape[1]
     if n:
         g = space.gram(modes, modes)
@@ -351,13 +345,11 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
 def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
                       cutoff_factor: float = DEFAULT_GRAM_CUTOFF,
                       want_right: bool = False) -> ModeSet:
-    """POD of [sigma_1 phi_1, ..., sigma_N phi_N | fresh] without touching old inner products.
+    """POD of [sigma_1 phi_1, ..., sigma_N phi_N | fresh] on the Gramian route.
 
-    Because the prior modes are orthonormal, the top-left block of the
-    concatenation's Gramian is exactly diag(sigma^2) and is written down
-    instead of being recomputed; only the mixed and fresh blocks cost inner
-    products.  This is the work-saving step of single-pass incremental
-    compression.
+    The merge step of single-pass incremental compression: the scaled prior
+    modes and the fresh columns are stacked and decomposed by `pod`, the same
+    step a chain run's merge node performs.
     """
     if not prior.orthonormal:
         raise ValueError("prior modes must be orthonormal (passthrough sets cannot be extended this way)")
@@ -365,31 +357,6 @@ def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
         raise ValueError("prior modes and fresh block live in different spaces")
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
-    n_old = prior.count
-    m = fresh.count
-    if n_old == 0:
-        return pod(fresh, epsilon, PodBackend("gram", cutoff_factor), want_right=want_right)
-    if epsilon == 0.0:
-        joined = np.hstack([prior.scaled(), fresh.values])
-        return _passthrough(SnapshotBlock(prior.space, joined), want_right)
-
-    total = n_old + m
-    g = np.zeros((total, total))
-    g[:n_old, :n_old] = np.diag(prior.sigmas * prior.sigmas)
-    if m:
-        mixed = prior.sigmas[:, None] * prior.space.gram(prior.modes, fresh.values)
-        g[:n_old, n_old:] = mixed
-        g[n_old:, :n_old] = mixed.T
-        g[n_old:, n_old:] = gramian(fresh)
-    g = 0.5 * (g + g.T)
-
-    lam, psi = scipy.linalg.eigh(g)
-    lam = lam[::-1]
-    psi = psi[:, ::-1]
-    columns = np.hstack([prior.scaled(), fresh.values]) if m else prior.scaled()
-
-    def assemble(vec, sig):
-        return (columns @ vec) / sig[None, :]
-
-    return _from_spectrum(lam, psi, assemble, prior.space, epsilon,
-                          cutoff_factor, total, want_right)
+    columns = np.hstack([prior.scaled(), fresh.values])
+    return pod(SnapshotBlock(prior.space, columns), epsilon, PodBackend("gram", cutoff_factor),
+               want_right=want_right)

@@ -45,7 +45,9 @@ class TreeMaps:
 
     ``leaf_order`` lists the leaves in depth-first order following the child
     lists; that order is the canonical one for attaching data blocks and for
-    the row order of tracked snapshot coefficients.
+    the row order of tracked snapshot coefficients.  ``post_order`` lists
+    every node after its children, children in child-list order, which is
+    the order a single worker evaluates them in.
     ``subordinate_leaf_counts`` is only present when leaf block sizes were
     supplied to derive_maps.
     """
@@ -56,6 +58,7 @@ class TreeMaps:
     depth: int
     parent: tuple[int, ...]
     subtree_nodes: tuple[tuple[int, ...], ...]
+    post_order: tuple[int, ...]
     subordinate_leaf_counts: tuple[int, ...] | None = None
 
 
@@ -132,16 +135,6 @@ def derive_maps(tree: RootedTree, leaf_counts=None) -> TreeMaps:
         subtree[v] = tuple(own)
 
     leaves = tuple(v for v in range(n) if not tree.children[v])
-    # depth-first leaf order following child lists
-    order: list[int] = []
-    stack2 = [tree.root]
-    while stack2:
-        v = stack2.pop()
-        if not tree.children[v]:
-            order.append(v)
-        else:
-            for c in reversed(tree.children[v]):
-                stack2.append(c)
 
     sub_counts = None
     if leaf_counts is not None:
@@ -161,11 +154,12 @@ def derive_maps(tree: RootedTree, leaf_counts=None) -> TreeMaps:
 
     return TreeMaps(
         leaves=leaves,
-        leaf_order=tuple(order),
+        leaf_order=tuple(v for v in post if not tree.children[v]),
         level=tuple(level),
         depth=level[tree.root],
         parent=tuple(parent),
         subtree_nodes=tuple(subtree),
+        post_order=tuple(post),
         subordinate_leaf_counts=sub_counts,
     )
 

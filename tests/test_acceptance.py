@@ -13,6 +13,7 @@ import scipy.linalg
 
 from hapod import (
     BurgersConfig,
+    IncrementalSession,
     InnerProductSpace,
     LeafAssignment,
     PodBackend,
@@ -28,9 +29,6 @@ from hapod import (
     derive_maps,
     distribute_columns,
     error_bound,
-    incremental_finalize,
-    incremental_open,
-    incremental_push,
     pod,
     run_hapod,
     run_parallel,
@@ -132,11 +130,10 @@ def test_incremental_burgers_close_to_direct(burgers):
     lines = []
     for eps_star in (1.0, 0.1, 0.01, 0.001):
         direct = naive_rank(svals, math.sqrt(m) * eps_star)
-        session = incremental_open(eps_star, 0.75, planned_block_count=100)
+        session = IncrementalSession(eps_star, 0.75, planned_block_count=100)
         for start in range(0, m, 100):
-            incremental_push(
-                session, SnapshotBlock(block.space, block.values[:, start:start + 100]))
-        result = incremental_finalize(session)
+            session.push(SnapshotBlock(block.space, block.values[:, start:start + 100]))
+        result = session.finalize()
         mean_err = span_residual_sq(block.values, result.modes.modes) / m
         peak = result.max_intermediate_modes()
         assert mean_err <= eps_star**2, f"eps*={eps_star}: mean error {mean_err}"
@@ -165,11 +162,11 @@ def test_equivalences():
     # streaming session vs the equivalent chain run
     space = InnerProductSpace(80)
     blocks = [SnapshotBlock(space, rng.standard_normal((80, 25))) for _ in range(12)]
-    session = incremental_open(0.3, 0.75, planned_block_count=12,
-                               backend=PodBackend("gram"))
+    session = IncrementalSession(0.3, 0.75, planned_block_count=12,
+                                 backend=PodBackend("gram"))
     for b in blocks:
-        incremental_push(session, b)
-    inc = incremental_finalize(session)
+        session.push(b)
+    inc = session.finalize()
     chain = build_chain(12)
     chain_leaves = LeafAssignment(dict(zip(derive_maps(chain).leaf_order, blocks)))
     chain_tol = assign_tolerances(chain, chain_leaves, 0.3, omega=0.75,

@@ -139,6 +139,22 @@ class TestRun:
         assert (a / "sigmas.txt").read_bytes() == (b / "sigmas.txt").read_bytes()
         assert (a / "modes.hpd").read_bytes() == (b / "modes.hpd").read_bytes()
 
+    def test_node_linalg_error_exits_numeric(self, synthetic_file, tmp_path, monkeypatch, capsys):
+        import hapod.parallel
+
+        real = hapod.parallel.evaluate_node
+
+        def breakdown(tree, maps, node, *rest):
+            if node == 2:
+                raise np.linalg.LinAlgError("eigensolver did not converge")
+            return real(tree, maps, node, *rest)
+
+        monkeypatch.setattr(hapod.parallel, "evaluate_node", breakdown)
+        code = run_cli("run", synthetic_file, "--out", tmp_path / "fail", "--eps-star", 0.01,
+                       "--topology", "star", "--blocks", 4, "--workers", 2)
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_usage_errors(self, synthetic_file, tmp_path, capsys):
         out = tmp_path / "u"
         base = ("run", synthetic_file, "--out", out, "--eps-star", 0.01)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hapod import (
+    IncrementalSession,
     InnerProductSpace,
     LeafAssignment,
     PodBackend,
@@ -18,9 +19,6 @@ from hapod import (
     derive_maps,
     distribute_columns,
     error_bound,
-    incremental_finalize,
-    incremental_open,
-    incremental_push,
     pod,
     run_hapod,
     synthetic_decay,
@@ -348,9 +346,9 @@ class TestIncrementalSession:
     def test_single_block_equals_flat_pod(self):
         rng = np.random.default_rng(43)
         block = SnapshotBlock(InnerProductSpace(9), rng.standard_normal((9, 14)))
-        session = incremental_open(0.2, 0.75, planned_block_count=1)
-        incremental_push(session, block)
-        result = incremental_finalize(session)
+        session = IncrementalSession(0.2, 0.75, planned_block_count=1)
+        session.push(block)
+        result = session.finalize()
         ref = pod(block, math.sqrt(14) * 0.75 * 0.2)
         assert result.mode_count == ref.count
         assert np.allclose(result.modes.sigmas, ref.sigmas, rtol=1e-12)
@@ -363,8 +361,8 @@ class TestIncrementalSession:
         target, omega = 0.15, 0.75
         k = len(blocks)
 
-        session = incremental_open(target, omega, planned_block_count=k,
-                                   backend=PodBackend("gram"))
+        session = IncrementalSession(target, omega, planned_block_count=k,
+                                     backend=PodBackend("gram"))
         for b in blocks:
             session.push(b)
         inc = session.finalize()
@@ -384,13 +382,17 @@ class TestIncrementalSession:
         inc_eps = {r.node: r.local_epsilon for r in inc.reports}
         ref_eps = {r.node: r.local_epsilon for r in ref.reports}
         assert inc_eps == pytest.approx(ref_eps)
+        fields = ("input_count", "subordinate_count", "output_mode_count")
+        inc_counts = {r.node: tuple(getattr(r, f) for f in fields) for r in inc.reports}
+        ref_counts = {r.node: tuple(getattr(r, f) for f in fields) for r in ref.reports}
+        assert inc_counts == ref_counts
 
     def test_early_finalize_keeps_guarantee(self):
         rng = np.random.default_rng(53)
         space = InnerProductSpace(12)
         blocks = [SnapshotBlock(space, rng.standard_normal((12, 9))) for _ in range(3)]
         target = 0.5
-        session = incremental_open(target, 0.75, planned_block_count=10)
+        session = IncrementalSession(target, 0.75, planned_block_count=10)
         for b in blocks:
             session.push(b)
         result = session.finalize()
@@ -403,7 +405,7 @@ class TestIncrementalSession:
         rng = np.random.default_rng(59)
         space = InnerProductSpace(4)
         block = SnapshotBlock(space, rng.standard_normal((4, 3)))
-        session = incremental_open(0.1, 0.5, planned_block_count=2)
+        session = IncrementalSession(0.1, 0.5, planned_block_count=2)
         session.push(block)
         session.push(block)
         with pytest.raises(SessionError):
@@ -414,12 +416,12 @@ class TestIncrementalSession:
         with pytest.raises(SessionError):
             session.push(block)
 
-        empty = incremental_open(0.1, 0.5, planned_block_count=2)
+        empty = IncrementalSession(0.1, 0.5, planned_block_count=2)
         with pytest.raises(SessionError):
             empty.finalize()
 
     def test_rejects_space_change_mid_stream(self):
-        session = incremental_open(0.1, 0.5, planned_block_count=3)
+        session = IncrementalSession(0.1, 0.5, planned_block_count=3)
         session.push(SnapshotBlock(InnerProductSpace(4), np.zeros((4, 2))))
         other = SnapshotBlock(InnerProductSpace(4, np.full(4, 2.0)), np.zeros((4, 2)))
         with pytest.raises(ValueError):
@@ -427,11 +429,11 @@ class TestIncrementalSession:
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
-            incremental_open(0.0, 0.5, 3)
+            IncrementalSession(0.0, 0.5, 3)
         with pytest.raises(ValueError):
-            incremental_open(0.1, 1.2, 3)
+            IncrementalSession(0.1, 1.2, 3)
         with pytest.raises(ValueError):
-            incremental_open(0.1, 0.5, 0)
+            IncrementalSession(0.1, 0.5, 0)
 
 
 class TestOmegaTradeoff:

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hapod.hierarchy
 from hapod import (
@@ -90,8 +94,25 @@ class TestRunParallel:
             return real(tree_, maps_, node, *rest)
 
         monkeypatch.setattr("hapod.parallel.evaluate_node", explode)
-        with pytest.raises(RuntimeError, match="node 2"):
+        with pytest.raises(FloatingPointError, match="node 2"):
             run_parallel(tree, leaves, tol, worker_count=4)
+
+
+class TestWorkerCountInvariance:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_bit_identical_for_one_two_three_workers(self, seed):
+        rng = np.random.default_rng(seed)
+        tree, _, leaves, tol, _, _ = random_case(rng, max_nodes=20, max_dim=40, max_cols=120)
+        runs = [run_parallel(tree, leaves, tol, worker_count=w, track_right_factor=True)[0]
+                for w in (1, 2, 3)]
+        first = runs[0]
+        for other in runs[1:]:
+            assert np.array_equal(other.modes.sigmas, first.modes.sigmas)
+            assert np.array_equal(other.modes.modes, first.modes.modes)
+            assert np.array_equal(other.right_factor, first.right_factor)
+            assert [replace(r, wall_time=0.0) for r in other.reports] == [
+                replace(r, wall_time=0.0) for r in first.reports]
 
 
 class TestPeakResidentModes:

@@ -14,6 +14,7 @@ from hapod import (
     pod,
     truncation_rank,
 )
+from hapod.pod import _finish_modes
 from helpers import naive_rank, oracle_pod_count, span_residual_sq
 
 
@@ -210,6 +211,26 @@ class TestPodConventions:
             out = pod(block, 0.2, PodBackend(kind))
             g = out.modes.T @ out.modes
             assert np.max(np.abs(g - np.eye(out.count))) <= 1e-8
+
+
+class TestFinishModes:
+    def test_drifted_modes_are_reorthonormalized(self):
+        rng = np.random.default_rng(61)
+        dim, n = 30, 6
+        weights = rng.uniform(0.5, 2.0, dim)
+        space = InnerProductSpace(dim, weights)
+        exact = space.unweigh(scipy.linalg.orth(rng.standard_normal((dim, n))))
+        drifted = exact + 1e-6 * rng.standard_normal((dim, n))
+        right = np.linalg.qr(rng.standard_normal((10, n)))[0]
+        assert np.max(np.abs(space.gram(drifted, drifted) - np.eye(n))) > 1e-8
+
+        modes, right_out = _finish_modes(drifted, right, space, want_right=True)
+        assert np.max(np.abs(space.gram(modes, modes) - np.eye(n))) <= 1e-12
+        # same span: the drifted columns lie in the span of the result
+        assert span_residual_sq(drifted, modes, weights) <= 1e-20
+        # each mode keeps its orientation relative to its right vector
+        flips = np.sign(np.diag(space.gram(modes, drifted)))
+        assert np.array_equal(flips, np.sign(np.sum(right_out * right, axis=0)))
 
 
 class TestBlockGramianPod:
