@@ -58,7 +58,7 @@ def main():
         result, stats = run_parallel(tree, leaves, tol, worker_count=args.workers)
         tree_time = time.perf_counter() - t0
 
-        crit = critical_path_time(result.reports)
+        crit = critical_path_time(tree, result.reports)
         ratio = flat_time / tree_time if tree_time > 0 else float("inf")
         print(f"{m:>7d} {flat_time:>8.2f} {flat.count:>6d} {tree_time:>8.2f} "
               f"{result.mode_count:>6d} {crit:>12.3f} {ratio:>10.2f}")

@@ -480,7 +480,7 @@ def cmd_bench(args) -> int:
                     [
                         str(size), name, str(maps.depth), str(args.block_size),
                         repr(seq_time),
-                        repr(critical_path_time(result.reports)),
+                        repr(critical_path_time(tree, result.reports)),
                         str(peak_resident_modes(tree, result.reports)),
                     ]
                 )

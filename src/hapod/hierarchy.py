@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .pod import InnerProductSpace, ModeSet, PodBackend, SnapshotBlock, block_gramian_pod, pod
 from .tree import RootedTree, TreeMaps, build_chain, derive_maps
@@ -299,7 +298,10 @@ def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAss
         out = pod(SnapshotBlock(space, stacked), eps, backend, want_right=track)
         lhat = None
         if track:
-            lhat = scipy.linalg.block_diag(*[lh for _, lh in child_results]) @ out.right
+            # block_diag(child factors) @ out.right, one child's rows at a time
+            ends = np.cumsum([ms.count for ms, _ in child_results])
+            lhat = np.vstack([lh @ out.right[end - ms.count:end]
+                              for (ms, lh), end in zip(child_results, ends)])
     wall = time.perf_counter() - started
     report = _node_report(tree, maps, node, input_count, maps.subordinate_leaf_counts[node],
                           eps, out, wall)

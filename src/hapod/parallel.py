@@ -34,6 +34,7 @@ class ExecStats:
 
     wave_times[l-1] is the span of level l, from the start of its first node
     to the end of its last; levels overlap, so the spans may too.
+    critical_path_time is the longest root-to-leaf sum of node wall times.
     """
 
     wave_times: tuple[float, ...]
@@ -51,18 +52,22 @@ def plan(tree: RootedTree) -> Schedule:
     return Schedule(tuple(tuple(w) for w in waves))
 
 
-def critical_path_time(reports) -> float:
-    """Sum over levels of the slowest node in that level.
+def critical_path_time(tree: RootedTree, reports) -> float:
+    """Longest root-to-leaf path through the tree, each node weighted by its
+    wall time.
 
-    Every root-to-leaf path visits each level at most once, so this is an
-    upper bound on the longest path through the tree, the wall time an
-    unbounded pool could reach.  It is not that path itself, because a node
-    starts as soon as its own children finish, not when its level does.
+    A node starts as soon as its own children finish, so this is the wall
+    time an unbounded pool could reach on the same node times.
     """
-    per_level: dict[int, float] = {}
-    for r in reports:
-        per_level[r.level] = max(per_level.get(r.level, 0.0), r.wall_time)
-    return sum(per_level.values())
+    wall = {r.node: r.wall_time for r in reports}
+    longest = 0.0
+    stack = [(tree.root, 0.0)]
+    while stack:
+        v, above = stack.pop()
+        here = above + wall.get(v, 0.0)
+        longest = max(longest, here)
+        stack.extend((c, here) for c in tree.children[v])
+    return longest
 
 
 def peak_resident_modes(tree: RootedTree, reports) -> int:
@@ -167,7 +172,7 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
     stats = ExecStats(
         wave_times=tuple(b - a for _, (a, b) in sorted(level_spans.items())),
         node_times={r.node: r.wall_time for r in ordered},
-        critical_path_time=critical_path_time(ordered),
+        critical_path_time=critical_path_time(tree, ordered),
         total_node_time=float(sum(r.wall_time for r in ordered)),
         peak_resident_modes=peak_resident_modes(tree, ordered),
     )

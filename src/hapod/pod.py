@@ -2,10 +2,12 @@
 
 The POD of a finite snapshot set is the left singular value decomposition of
 the linear map that sends the j-th canonical basis vector to the j-th
-snapshot.  Two classic routes are implemented: the method of snapshots
-(eigendecomposition of the m x m Gramian, cheap for tall-and-skinny data) and
-a direct SVD of the weighted snapshot matrix, which does not square the
-condition number.
+snapshot.  Two classic routes are implemented.  The default squares the
+problem and eigendecomposes the smaller of the two squared matrices: the
+m x m Gramian (method of snapshots) for a block of m <= d columns in R^d, the
+d x d correlation matrix for a wider block; both have the same nonzero
+spectrum, and rank is at most min(d, m).  The other route is a direct SVD of
+the weighted snapshot matrix, which does not square the condition number.
 
 Everything works in R^d equipped with an optional strictly positive diagonal
 weight vector; without weights the inner product is the Euclidean one.
@@ -169,11 +171,16 @@ class ModeSet:
 class PodBackend:
     """How the small dense decompositions are carried out.
 
-    kind "gram" is the method of snapshots (Gramian eigendecomposition),
-    "svd" a direct SVD of the weighted snapshot matrix.  Eigenvalues of the
-    Gramian below ``gram_eig_cutoff_factor * lam_max * m`` are treated as
-    numerical zeros and dropped before any truncation decision; the same rule
-    is applied to squared singular values for the svd kind.
+    kind "gram" eigendecomposes the smaller squared matrix of a d x m block:
+    the m x m Gramian S^T W S when m <= d, otherwise the d x d correlation
+    matrix A A^T with A = W^(1/2) S.  "svd" is a direct SVD of the weighted
+    snapshot matrix, kept as the cross-check.  On the gram kind, eigenvalues
+    below ``gram_eig_cutoff_factor * lam_max * m`` are treated as numerical
+    zeros and dropped before any truncation decision.  On the svd kind the
+    factor applies to the singular values themselves: sigma below
+    ``gram_eig_cutoff_factor * sigma_max * m`` is dropped.  That drops far
+    less energy than the Gramian floor, so the svd kind keeps the tail bound
+    at tolerances too small for the gram kind to resolve.
     """
 
     kind: str = "gram"
@@ -231,7 +238,7 @@ def _reorthonormalize(modes: np.ndarray, space: InnerProductSpace) -> np.ndarray
     return space.unweigh(q)
 
 
-def _finish_modes(modes, right, space, want_right):
+def _finish_modes(modes, right, space):
     # Re-orthonormalize only when the mode Gramian actually drifted; one QR
     # is enough because the drift comes from clustered eigenvalues, not from
     # loss of rank.
@@ -241,8 +248,7 @@ def _finish_modes(modes, right, space, want_right):
         off = g - np.eye(n)
         if np.max(np.abs(off)) > 1e-8:
             modes = _reorthonormalize(modes, space)
-    modes, right = _fix_signs(modes, right)
-    return modes, (right if want_right else None)
+    return _fix_signs(modes, right)
 
 
 def _empty_mode_set(space, want_right, input_count=0, tail_energy=0.0):
@@ -269,22 +275,31 @@ def _passthrough(block: SnapshotBlock, want_right: bool) -> ModeSet:
     )
 
 
-def _from_spectrum(lam_desc, vec_desc, assemble, space, epsilon, cutoff, m, want_right):
-    """Shared truncation logic.  lam_desc are Gramian eigenvalues (descending),
-    assemble(idx) must return the first idx modes as a d x idx array."""
-    lam_max = lam_desc[0] if lam_desc.size else 0.0
-    if lam_max <= 0.0:
+def _above_floor(values: np.ndarray, factor: float) -> np.ndarray:
+    """The descending values at or above factor * values[0]; none if values[0] <= 0."""
+    if not values.size or values[0] <= 0.0:
+        return values[:0]
+    return values[values >= factor * values[0]]
+
+
+def _from_spectrum(lam, assemble, space, epsilon, m, want_right):
+    """Shared truncation logic.  lam are the squared singular values that
+    survived the noise cutoff, descending; assemble(rank, sig) must return the
+    first rank modes as a d x rank array and their right vectors (m x rank,
+    or None when not wanted)."""
+    if not lam.size:
         return _empty_mode_set(space, want_right, input_count=m)
-    keep = lam_desc >= cutoff * lam_max * m
-    lam = lam_desc[keep]
-    vec = vec_desc[:, keep]
     sig = np.sqrt(lam)
     rank = truncation_rank(sig, epsilon)
     tail = float(np.sum(lam[rank:]))
-    modes = assemble(vec[:, :rank], sig[:rank])
-    right = vec[:, :rank] if want_right else None
-    modes, right = _finish_modes(modes, right, space, want_right)
+    modes, right = assemble(rank, sig[:rank])
+    modes, right = _finish_modes(modes, right, space)
     return ModeSet(space, sig[:rank], modes, orthonormal=True, tail_energy=tail, right=right)
+
+
+def _descending_eigh(a: np.ndarray):
+    lam, vec = scipy.linalg.eigh(a)
+    return lam[::-1], vec[:, ::-1]
 
 
 def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
@@ -301,7 +316,9 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
         convention: the raw snapshots come back with unit sigmas and
         ``orthonormal=False``, no decomposition happens.
     backend
-        Gramian eigendecomposition ("gram", default) or direct SVD ("svd").
+        Eigendecomposition of the smaller squared matrix ("gram", default:
+        the Gramian for m <= d columns, the correlation matrix beyond) or
+        direct SVD ("svd").
     want_right
         Also return the right singular vectors (needed to track snapshot
         coefficients through a hierarchy).
@@ -319,37 +336,47 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     m = block.count
     if m == 0:
         return _empty_mode_set(block.space, want_right)
-    if backend.kind == "gram":
-        lam, psi = scipy.linalg.eigh(gramian(block))
-        lam = lam[::-1]
-        psi = psi[:, ::-1]
+    space = block.space
+    factor = backend.gram_eig_cutoff_factor * m
+    if backend.kind == "svd":
+        u, s, vt = scipy.linalg.svd(space.weigh(block.values), full_matrices=False)
+        s = _above_floor(s, factor)
 
-        def assemble(vec, sig):
-            return (block.values @ vec) / sig[None, :]
+        def assemble(rank, sig):
+            right = vt[:rank].T if want_right else None
+            return space.unweigh(u[:, :rank]), right
 
-        return _from_spectrum(lam, psi, assemble, block.space, epsilon,
-                              backend.gram_eig_cutoff_factor, m, want_right)
-    # direct SVD of the weighted matrix
-    u, s, vt = scipy.linalg.svd(block.space.weigh(block.values), full_matrices=False)
-    lam = s * s
-    v = vt.T
+        return _from_spectrum(s * s, assemble, space, epsilon, m, want_right)
+    if m <= space.dimension:
+        # method of snapshots: modes S psi / sigma from Gramian eigenvectors psi
+        lam, psi = _descending_eigh(gramian(block))
 
-    def assemble(vec, sig):
-        k = vec.shape[1]
-        return block.space.unweigh(u[:, :k])
+        def assemble(rank, sig):
+            right = psi[:, :rank] if want_right else None
+            return (block.values @ psi[:, :rank]) / sig[None, :], right
+    else:
+        # wide block: eigenvectors U of A A^T are the weighted modes, and the
+        # right vectors are A^T U / sigma; eigh reads one triangle only, so
+        # A A^T needs no symmetrizing
+        a = space.weigh(block.values)
+        lam, u = _descending_eigh(a @ a.T)
 
-    return _from_spectrum(lam, v, assemble, block.space, epsilon,
-                          backend.gram_eig_cutoff_factor, m, want_right)
+        def assemble(rank, sig):
+            right = (a.T @ u[:, :rank]) / sig[None, :] if want_right else None
+            return space.unweigh(u[:, :rank]), right
+
+    return _from_spectrum(_above_floor(lam, factor), assemble, space, epsilon, m, want_right)
 
 
 def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
                       cutoff_factor: float = DEFAULT_GRAM_CUTOFF,
                       want_right: bool = False) -> ModeSet:
-    """POD of [sigma_1 phi_1, ..., sigma_N phi_N | fresh] on the Gramian route.
+    """POD of [sigma_1 phi_1, ..., sigma_N phi_N | fresh] on the "gram" kind.
 
     The merge step of single-pass incremental compression: the scaled prior
     modes and the fresh columns are stacked and decomposed by `pod`, the same
-    step a chain run's merge node performs.
+    step a chain run's merge node performs, so it eigendecomposes the Gramian
+    or the correlation matrix, whichever is smaller.
     """
     if not prior.orthonormal:
         raise ValueError("prior modes must be orthonormal (passthrough sets cannot be extended this way)")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hapod import (
     IncrementalSession,
@@ -23,6 +24,7 @@ from hapod import (
     run_hapod,
     synthetic_decay,
 )
+from hapod.hierarchy import evaluate_node
 from helpers import oracle_pod_count, random_case, span_residual_sq, stacked_leaf_columns
 
 
@@ -334,6 +336,28 @@ class TestRightFactor:
         stacked = stacked_leaf_columns(maps, leaves)
         approx = (result.modes.modes * result.modes.sigmas[None, :]) @ result.right_factor.T
         assert np.allclose(approx, stacked, atol=1e-8)
+
+    def test_merge_matches_block_diagonal_product(self):
+        # the root stacks each child's factor times its rows of the POD's
+        # right vectors; the reference is the dense block-diagonal product,
+        # here with a child that kept no modes
+        rng = np.random.default_rng(43)
+        space = InnerProductSpace(10, rng.uniform(0.5, 2.0, 10))
+        tree = build_star(3)
+        leaves = LeafAssignment({
+            1: SnapshotBlock(space, rng.standard_normal((10, 6))),
+            2: SnapshotBlock(space, 1e-3 * rng.standard_normal((10, 4))),
+            3: SnapshotBlock(space, rng.standard_normal((10, 8))),
+        })
+        tol = ToleranceAssignment((0.3, 0.5, 1.0, 0.5))
+        maps = derive_maps(tree, leaves.counts())
+        kids = [evaluate_node(tree, maps, c, tol, PodBackend(), leaves, [], True)[:2]
+                for c in tree.children[tree.root]]
+        assert [ms.count == 0 for ms, _ in kids] == [False, True, False]
+        out, lhat, _ = evaluate_node(tree, maps, tree.root, tol, PodBackend(), leaves, kids, True)
+        ref = scipy.linalg.block_diag(*[lh for _, lh in kids]) @ out.right
+        assert lhat.shape == ref.shape == (18, out.count)
+        assert np.allclose(lhat, ref, rtol=1e-12, atol=0.0)
 
     def test_disabled_by_default(self):
         rng = np.random.default_rng(41)

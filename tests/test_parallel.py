@@ -9,16 +9,21 @@ import hapod.hierarchy
 from hapod import (
     InnerProductSpace,
     LeafAssignment,
+    NodeReport,
+    RootedTree,
     SnapshotBlock,
     ToleranceAssignment,
     assign_tolerances,
     build_balanced,
     build_chain,
     build_star,
+    critical_path_time,
+    derive_maps,
     distribute_columns,
     plan,
     run_hapod,
     run_parallel,
+    synthetic_decay,
 )
 from hapod.parallel import peak_resident_modes
 from helpers import random_case
@@ -113,6 +118,41 @@ class TestWorkerCountInvariance:
             assert np.array_equal(other.right_factor, first.right_factor)
             assert [replace(r, wall_time=0.0) for r in other.reports] == [
                 replace(r, wall_time=0.0) for r in first.reports]
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bit_identical_with_wide_nodes(self, weighted):
+        # 12 rows against leaves of 20 columns and merges of dozens: every
+        # node decomposes through the 12 x 12 correlation matrix
+        dim = 12
+        weights = np.random.default_rng(5).uniform(0.5, 2.0, dim) if weighted else None
+        data = synthetic_decay(dim, 320, 0.3, seed=9).values
+        block = SnapshotBlock(InnerProductSpace(dim, weights), data)
+        tree = build_balanced(16, 2)
+        leaves = distribute_columns(tree, block, block_size=20)
+        tol = assign_tolerances(tree, leaves, 1e-4)
+        runs = [run_parallel(tree, leaves, tol, worker_count=w, track_right_factor=True)[0]
+                for w in (1, 2, 3)]
+        assert all(r.input_count > dim for r in runs[0].reports)
+        for other in runs[1:]:
+            assert np.array_equal(other.modes.sigmas, runs[0].modes.sigmas)
+            assert np.array_equal(other.modes.modes, runs[0].modes.modes)
+            assert np.array_equal(other.right_factor, runs[0].right_factor)
+
+
+class TestCriticalPathTime:
+    def test_longest_path_through_the_tree(self):
+        # root 0 -> (1, 2), 1 -> (3, 4).  The slow leaf 2 shares level 1 with
+        # leaves 3 and 4, so the sum of level maxima (10 + 1 + 1) pairs it with
+        # node 1, which no path does; the longest path is 0-2 (1 + 10).
+        tree = RootedTree(((1, 2), (3, 4), (), (), ()), 0)
+        maps = derive_maps(tree)
+        times = {0: 1.0, 1: 1.0, 2: 10.0, 3: 1.0, 4: 1.0}
+        reports = [NodeReport(v, maps.level[v], not tree.children[v], 1, 1, 0.1, 1, 0.0, t)
+                   for v, t in times.items()]
+        assert critical_path_time(tree, reports) == 11.0
+        # a slower interior node moves the path into the other subtree
+        reports[1] = replace(reports[1], wall_time=12.0)
+        assert critical_path_time(tree, reports) == 14.0
 
 
 class TestPeakResidentModes:

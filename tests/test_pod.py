@@ -27,6 +27,17 @@ def random_block(rng, dim, cols, weights=None):
                          rng.standard_normal((dim, cols)))
 
 
+def spectrum_block(rng, dim, cols, sigmas, weights=None):
+    """A block whose singular values in the weighted inner product are sigmas."""
+    r = len(sigmas)
+    u = np.linalg.qr(rng.standard_normal((dim, r)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, r)))[0]
+    values = (u * sigmas[None, :]) @ v.T
+    if weights is not None:
+        values = values / np.sqrt(weights)[:, None]
+    return SnapshotBlock(InnerProductSpace(dim, weights), values)
+
+
 # integer-valued sigmas keep every tail sum exact in float64, so the naive
 # enumeration and the library's reversed cumulative sum cannot disagree on
 # ties for numerical reasons
@@ -213,6 +224,74 @@ class TestPodConventions:
             assert np.max(np.abs(g - np.eye(out.count))) <= 1e-8
 
 
+class TestGramRoutes:
+    """The gram kind eigendecomposes the Gramian of a tall block and the
+    correlation matrix of a wide one; both must agree with the SVD."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), short=st.integers(1, 30), extra=st.integers(1, 30),
+           wide=st.booleans(), weighted=st.booleans(), ratio=st.floats(0.5, 0.8),
+           data=st.data())
+    def test_gram_agrees_with_svd(self, seed, short, extra, wide, weighted, ratio, data):
+        rng = np.random.default_rng(seed)
+        dim, cols = (short, short + extra) if wide else (short + extra, short)
+        rank = data.draw(st.integers(1, min(short, 10)), label="rank")
+        keep = data.draw(st.integers(0, rank), label="keep")
+        # sigmas >= 0.5**9 sit far above the cutoff, so both routes resolve them
+        sigmas = ratio ** np.arange(rank)
+        weights = rng.uniform(0.5, 2.0, dim) if weighted else None
+        block = spectrum_block(rng, dim, cols, sigmas, weights)
+        tails = np.append(np.cumsum((sigmas ** 2)[::-1])[::-1], 0.0)
+        # budget halfway into the gap, so the count is keep on either route
+        eps_sq = tails[keep] + 0.5 * (sigmas[keep - 1] ** 2 if keep else tails[0])
+        out = {kind: pod(block, np.sqrt(eps_sq), PodBackend(kind), want_right=True)
+               for kind in ("gram", "svd")}
+        gram, svd = out["gram"], out["svd"]
+        assert gram.count == svd.count == keep
+        assert np.allclose(gram.sigmas, svd.sigmas, rtol=1e-8, atol=0.0)
+        ga, sa = block.space.weigh(gram.modes), block.space.weigh(svd.modes)
+        assert np.max(np.abs(ga @ ga.T - sa @ sa.T), initial=0.0) <= 1e-7
+        for ms in (gram, svd):
+            assert ms.right.shape == (cols, keep)
+            assert np.max(np.abs(ms.right.T @ ms.right - np.eye(keep)), initial=0.0) <= 1e-8
+            resid = block.space.weigh(block.values - (ms.modes * ms.sigmas[None, :]) @ ms.right.T)
+            assert float(np.sum(resid * resid)) <= eps_sq
+
+    @pytest.mark.parametrize("kind, floor", [("svd", -14.0), ("gram", -10.0)])
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(5, 60), cols=st.integers(5, 60),
+           weighted=st.booleans(), rate=st.floats(0.05, 3.0),
+           exponent=st.one_of(st.just(1.0), st.floats(0.0, 1.0)), data=st.data())
+    def test_discarded_tail_within_budget(self, kind, floor, seed, dim, cols, weighted,
+                                          rate, exponent, data):
+        # the certified bound must hold down to the route's accuracy floor
+        # (ratio 10**floor, drawn often: the energy a too-eager noise cutoff
+        # drops only shows there), including blocks of lower rank
+        rng = np.random.default_rng(seed)
+        rank = data.draw(st.integers(1, min(dim, cols)), label="rank")
+        weights = rng.uniform(0.5, 2.0, dim) if weighted else None
+        block = spectrum_block(rng, dim, cols, np.exp(-rate * np.arange(rank)), weights)
+        total_sq = float(np.sum(block.space.weigh(block.values) ** 2))
+        eps_sq = 10.0 ** (floor * exponent) * total_sq
+        out = pod(block, np.sqrt(eps_sq), PodBackend(kind))
+        assert span_residual_sq(block.values, out.modes, weights) <= eps_sq
+
+    @pytest.mark.parametrize("dim, cols", [(8, 20), (20, 8), (10, 10)])
+    def test_eigh_sees_the_smaller_square(self, monkeypatch, dim, cols):
+        sizes = []
+        real = scipy.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            sizes.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        rng = np.random.default_rng(67)
+        pod(random_block(rng, dim, cols, rng.uniform(0.5, 2.0, dim)), 0.1, want_right=True)
+        n = min(dim, cols)
+        assert sizes == [(n, n)]
+
+
 class TestFinishModes:
     def test_drifted_modes_are_reorthonormalized(self):
         rng = np.random.default_rng(61)
@@ -224,7 +303,7 @@ class TestFinishModes:
         right = np.linalg.qr(rng.standard_normal((10, n)))[0]
         assert np.max(np.abs(space.gram(drifted, drifted) - np.eye(n))) > 1e-8
 
-        modes, right_out = _finish_modes(drifted, right, space, want_right=True)
+        modes, right_out = _finish_modes(drifted, right, space)
         assert np.max(np.abs(space.gram(modes, modes) - np.eye(n))) <= 1e-12
         # same span: the drifted columns lie in the span of the result
         assert span_residual_sq(drifted, modes, weights) <= 1e-20
