@@ -227,21 +227,6 @@ def _read_report(path):
     return rows
 
 
-def _streaming_mean_error(input_path, modes: ModeSet) -> float:
-    """Second pass over the stored snapshots: mean squared projection residual."""
-    p = Path(input_path)
-    if p.suffix.lower() == ".csv":
-        return actual_mean_error(hio.load_snapshots(p), modes)
-    total = 0.0
-    seen = 0
-    for cols in hio.iter_columns(p):
-        coeff = modes.space.gram(modes.modes, cols)
-        resid = cols - modes.modes @ coeff
-        total += float(np.sum(modes.space.norms_sq(resid)))
-        seen += cols.shape[1]
-    return total / seen if seen else 0.0
-
-
 def cmd_run(args) -> int:
     manifest = RunManifest(
         input=args.input,
@@ -286,7 +271,7 @@ def cmd_run(args) -> int:
     if result.right_factor is not None:
         hio.write_matrix(outdir / RIGHT_FILE, result.right_factor)
 
-    mean_error = _streaming_mean_error(manifest.input, result.modes)
+    mean_error = actual_mean_error(block, result.modes)
     summary = [
         ("input", manifest.input),
         ("snapshot_count", block.count),
@@ -399,7 +384,7 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFY
 
     modes = ModeSet(space, sigmas if ok_sig else np.ones(mode_values.shape[1]), mode_values)
-    mean_err = _streaming_mean_error(input_path, modes)
+    mean_err = actual_mean_error(snapshots, modes)
     checks.append(
         ("mean-error", mean_err <= eps_star * eps_star,
          f"measured {mean_err:.6g} vs target {eps_star * eps_star:.6g}")

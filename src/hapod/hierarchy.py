@@ -238,7 +238,8 @@ def error_bound(tree: RootedTree, tol: ToleranceAssignment, node: int | None = N
 
 def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet) -> float:
     """Measured (1/m) * sum_j ||s_j - P s_j||^2 with P the orthogonal projection
-    onto the span of the modes.  Computed from explicit residuals."""
+    onto the span of the modes.  Computed from explicit residuals, in batches
+    of about 8 MiB of columns, so the residual never needs a full d x m copy."""
     if not modes.orthonormal:
         raise ValueError("projection needs orthonormal modes (got a passthrough set)")
     if not snapshots.space.same_as(modes.space):
@@ -246,13 +247,15 @@ def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet) -> float:
     m = snapshots.count
     if m == 0:
         return 0.0
-    values = snapshots.values
-    if modes.count:
-        coeff = modes.space.gram(modes.modes, values)
-        resid = values - modes.modes @ coeff
-    else:
-        resid = values
-    return float(np.sum(snapshots.space.norms_sq(resid))) / m
+    space = snapshots.space
+    batch = max(1, 2**23 // (8 * space.dimension))
+    total = 0.0
+    for a in range(0, m, batch):
+        resid = snapshots.values[:, a : a + batch]
+        if modes.count:
+            resid = resid - modes.modes @ space.gram(modes.modes, resid)
+        total += float(np.sum(space.norms_sq(resid)))
+    return total / m
 
 
 def _node_report(tree: RootedTree, maps: TreeMaps, node: int, input_count: int,
@@ -289,17 +292,16 @@ def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAss
         lhat = out.right if track else None
         input_count = block.count
     else:
-        input_count = sum(ms.count for ms, _ in child_results)
-        parts = [ms.scaled() for ms, _ in child_results if ms.count]
-        if parts:
-            stacked = np.hstack(parts) if len(parts) > 1 else parts[0]
-        else:
-            stacked = np.zeros((space.dimension, 0))
+        ends = np.cumsum([ms.count for ms, _ in child_results])
+        input_count = int(ends[-1])
+        # the children's scaled modes, written side by side into one array
+        stacked = np.empty((space.dimension, input_count))
+        for (ms, _), end in zip(child_results, ends):
+            np.multiply(ms.modes, ms.sigmas[None, :], out=stacked[:, end - ms.count:end])
         out = pod(SnapshotBlock(space, stacked), eps, backend, want_right=track)
         lhat = None
         if track:
             # block_diag(child factors) @ out.right, one child's rows at a time
-            ends = np.cumsum([ms.count for ms, _ in child_results])
             lhat = np.vstack([lh @ out.right[end - ms.count:end]
                               for (ms, lh), end in zip(child_results, ends)])
     wall = time.perf_counter() - started
@@ -366,13 +368,11 @@ class IncrementalSession:
         eps = _tolerance(self._seen, self.target, self.omega, self.planned, node == self.tree.root)
         prior = self._current
         started = time.perf_counter()
-        if prior is None:
-            merged = pod(fresh, eps, self.backend)
-        elif prior.orthonormal:
-            merged = block_gramian_pod(prior, fresh, eps,
-                                       cutoff_factor=self.backend.gram_eig_cutoff_factor)
+        if prior is not None and prior.orthonormal:
+            merged = block_gramian_pod(prior, fresh, eps, self.backend)
         else:
-            joined = np.hstack([prior.scaled(), fresh.values])
+            # the first merge: nothing carried yet, or the raw bottom leaf
+            joined = fresh.values if prior is None else np.hstack([prior.scaled(), fresh.values])
             merged = pod(SnapshotBlock(fresh.space, joined), eps, self.backend)
         wall = time.perf_counter() - started
         input_count = fresh.count + (prior.count if prior is not None else 0)

@@ -11,6 +11,7 @@ them back reproduces the doubles bit for bit.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -73,7 +74,9 @@ def read_matrix_header(path) -> tuple[int, int, bool]:
         return _parse_header(fh.read(_HEADER.size), path)
 
 
-def read_matrix(path) -> tuple[np.ndarray, np.ndarray | None]:
+def _map_payload(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (rows, cols) payload mapped read-only from the file, and the
+    weights.  The file size is checked before anything is mapped."""
     with open(path, "rb") as fh:
         rows, cols, weighted = _parse_header(fh.read(_HEADER.size), path)
         weights = None
@@ -82,45 +85,47 @@ def read_matrix(path) -> tuple[np.ndarray, np.ndarray | None]:
             if len(wbuf) != 8 * rows:
                 raise MatrixFormatError(f"{path}: truncated weight vector")
             weights = np.frombuffer(wbuf, dtype="<f8").copy()
-        payload = fh.read()
-    expected = 8 * rows * cols
-    if len(payload) != expected:
-        raise MatrixFormatError(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected} for {rows}x{cols}"
-        )
-    values = np.frombuffer(payload, dtype="<f8").reshape((rows, cols), order="F").copy()
-    return values, weights
+        offset = fh.tell()
+        held = os.fstat(fh.fileno()).st_size - offset
+        expected = 8 * rows * cols
+        if held != expected:
+            raise MatrixFormatError(
+                f"{path}: payload holds {held} bytes, expected {expected} for {rows}x{cols}"
+            )
+        if expected == 0:  # an empty map is an error, an empty array is not
+            return np.zeros((rows, cols)), weights
+        return np.memmap(fh, dtype="<f8", mode="r", offset=offset, shape=(rows, cols), order="F"), weights
+
+
+def read_matrix(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """The whole matrix as a C-ordered array in memory, and the weights."""
+    values, weights = _map_payload(path)
+    return np.array(values, order="C"), weights
 
 
 def iter_columns(path, batch: int = 1):
     """Stream the payload column by column (or in small column batches)
-    without loading the matrix; yields float64 arrays of shape (rows, <=batch)."""
+    without loading the matrix; yields read-only float64 views of shape
+    (rows, <=batch) into the mapped file."""
     if batch < 1:
         raise ValueError("batch must be positive")
-    with open(path, "rb") as fh:
-        rows, cols, weighted = _parse_header(fh.read(_HEADER.size), path)
-        if weighted:
-            fh.seek(8 * rows, 1)
-        done = 0
-        while done < cols:
-            take = min(batch, cols - done)
-            buf = fh.read(8 * rows * take)
-            if len(buf) != 8 * rows * take:
-                raise MatrixFormatError(f"{path}: payload ends early at column {done}")
-            yield np.frombuffer(buf, dtype="<f8").reshape((rows, take), order="F")
-            done += take
+    values, _ = _map_payload(path)
+    for a in range(0, values.shape[1], batch):
+        yield values[:, a : a + batch]
 
 
 def load_snapshots(path) -> SnapshotBlock:
-    """Read a snapshot matrix as a SnapshotBlock.  `.csv` files are parsed as
+    """Load a snapshot matrix as a SnapshotBlock.  `.csv` files are parsed as
     comma-separated text with one column per snapshot (interoperability path);
     anything else must be the binary container, which is canonical and may
-    carry inner-product weights."""
+    carry inner-product weights.  A binary payload is not read into memory:
+    the block's values are a read-only map of the file, so the file must not
+    change while the block is in use."""
     p = Path(path)
     if p.suffix.lower() == ".csv":
         values = np.loadtxt(p, delimiter=",", ndmin=2, dtype=np.float64)
         return SnapshotBlock(InnerProductSpace(values.shape[0]), values)
-    values, weights = read_matrix(p)
+    values, weights = _map_payload(p)
     return SnapshotBlock(InnerProductSpace(values.shape[0], weights), values)
 
 

@@ -114,9 +114,16 @@ class SnapshotBlock:
             raise ValueError(
                 f"snapshot rows {v.shape[0]} do not match space dimension {self.space.dimension}"
             )
-        if v.size and not np.all(np.isfinite(v)):
+        # min and max propagate NaN and expose infinities without a
+        # temporary the size of the block
+        if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise ValueError("snapshot block contains non-finite entries")
-        object.__setattr__(self, "values", _read_only(v))
+        # either memory order is kept, so column slices of a column-major
+        # (e.g. memory-mapped) matrix stay views
+        if not (v.flags.c_contiguous or v.flags.f_contiguous):
+            v = np.ascontiguousarray(v)
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     @property
     def count(self) -> int:
@@ -369,14 +376,12 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
 
 
 def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
-                      cutoff_factor: float = DEFAULT_GRAM_CUTOFF,
-                      want_right: bool = False) -> ModeSet:
-    """POD of [sigma_1 phi_1, ..., sigma_N phi_N | fresh] on the "gram" kind.
+                      backend: PodBackend | None = None, want_right: bool = False) -> ModeSet:
+    """POD of [sigma_1 phi_1, ..., sigma_N phi_N | fresh].
 
     The merge step of single-pass incremental compression: the scaled prior
-    modes and the fresh columns are stacked and decomposed by `pod`, the same
-    step a chain run's merge node performs, so it eigendecomposes the Gramian
-    or the correlation matrix, whichever is smaller.
+    modes and the fresh columns are stacked and decomposed by `pod` with the
+    given backend, the same step a chain run's merge node performs.
     """
     if not prior.orthonormal:
         raise ValueError("prior modes must be orthonormal (passthrough sets cannot be extended this way)")
@@ -385,5 +390,4 @@ def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     columns = np.hstack([prior.scaled(), fresh.values])
-    return pod(SnapshotBlock(prior.space, columns), epsilon, PodBackend("gram", cutoff_factor),
-               want_right=want_right)
+    return pod(SnapshotBlock(prior.space, columns), epsilon, backend, want_right=want_right)

@@ -1,11 +1,13 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hapod.cli import main
-from hapod.io import read_floats, read_matrix, read_matrix_header
+from hapod.datagen import synthetic_decay
+from hapod.io import read_floats, read_matrix, read_matrix_header, write_matrix
 from hapod.tree import parse_tree_text
 
 
@@ -154,6 +156,33 @@ class TestRun:
                        "--topology", "star", "--blocks", 4, "--workers", 2)
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_truncated_input_exits_usage(self, synthetic_file, tmp_path, capsys):
+        raw = synthetic_file.read_bytes()
+        synthetic_file.write_bytes(raw[:-8])
+        code = run_cli("run", synthetic_file, "--out", tmp_path / "t", "--eps-star", 0.01,
+                       "--topology", "star", "--blocks", 4)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "payload holds" in err
+        assert "Traceback" not in err
+
+    def test_peak_memory_below_half_the_input(self, tmp_path):
+        # no worker needs the whole snapshot matrix, so neither does the run
+        path = tmp_path / "big.hpd"
+        data = synthetic_decay(2000, 4000, 0.1, 0)
+        write_matrix(path, data.values)
+        payload = data.values.nbytes
+        del data
+        tracemalloc.start()
+        try:
+            code = run_cli("run", path, "--out", tmp_path / "big", "--eps-star", 0.01,
+                           "--topology", "star", "--block-size", 200, "--workers", 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < payload / 2
 
     def test_usage_errors(self, synthetic_file, tmp_path, capsys):
         out = tmp_path / "u"

@@ -182,6 +182,21 @@ class TestActualMeanError:
         ref = span_residual_sq(block.values, out.modes, w) / 9
         assert actual_mean_error(block, out) == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_batches_match_one_residual(self, weighted):
+        # 2**23 bytes hold 26 columns of 40000 rows: three batches, the last short
+        rng = np.random.default_rng(13)
+        dim, cols = 40000, 60
+        w = rng.uniform(0.5, 2.0, dim) if weighted else None
+        space = InnerProductSpace(dim, w)
+        block = SnapshotBlock(space, rng.standard_normal((dim, 4)) @ rng.standard_normal((4, cols))
+                              + 1e-3 * rng.standard_normal((dim, cols)))
+        out = pod(block, 0.5)
+        assert 0 < out.count < cols
+        resid = block.values - out.modes @ space.gram(out.modes, block.values)
+        ref = float(np.sum(space.norms_sq(resid))) / cols
+        assert actual_mean_error(block, out) == pytest.approx(ref, rel=1e-12)
+
     def test_rejects_passthrough_modes(self):
         block = SnapshotBlock(InnerProductSpace(3), np.eye(3))
         raw = pod(block, 0.0)
@@ -410,6 +425,27 @@ class TestIncrementalSession:
         inc_counts = {r.node: tuple(getattr(r, f) for f in fields) for r in inc.reports}
         ref_counts = {r.node: tuple(getattr(r, f) for f in fields) for r in ref.reports}
         assert inc_counts == ref_counts
+
+    def test_svd_session_never_squares(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        space = InnerProductSpace(30)
+        blocks = [SnapshotBlock(space, rng.standard_normal((30, 8))) for _ in range(5)]
+        target, omega, backend = 0.4, 0.75, PodBackend("svd")
+        tree = build_chain(len(blocks))
+        assignment = LeafAssignment(dict(zip(derive_maps(tree).leaf_order, blocks)))
+        tol = assign_tolerances(tree, assignment, target, omega=omega, zero_leaf_tolerance=True)
+        ref = run_hapod(tree, assignment, tol, backend=backend)
+
+        calls = []
+        real = scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: calls.append(1) or real(*a, **k))
+        session = IncrementalSession(target, omega, planned_block_count=len(blocks), backend=backend)
+        for b in blocks:
+            session.push(b)
+        inc = session.finalize()
+        assert calls == []
+        assert inc.mode_count == ref.mode_count
+        assert np.allclose(inc.modes.sigmas, ref.modes.sigmas, rtol=1e-12)
 
     def test_early_finalize_keeps_guarantee(self):
         rng = np.random.default_rng(53)

@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,60 @@ class TestLoadSnapshots:
         write_matrix(path, rng.standard_normal((4, 6)), weights=w)
         block = load_snapshots(path)
         assert np.array_equal(block.space.weights, w)
+
+
+def _mapped_from_file(a) -> bool:
+    """Whether the array's memory belongs to an mmap rather than the heap."""
+    while a is not None:
+        if isinstance(a, mmap.mmap):
+            return True
+        a = getattr(a, "base", None)
+    return False
+
+
+class TestMappedLoad:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_values_are_a_read_only_map_of_the_file(self, tmp_path, weighted):
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((7, 5))
+        values[2, 3] = -0.0
+        w = rng.uniform(0.5, 2.0, 7) if weighted else None
+        path = tmp_path / "m.hpd"
+        write_matrix(path, values, weights=w)
+        block = load_snapshots(path)
+        back, back_w = read_matrix(path)
+        assert not block.values.flags.writeable
+        assert _mapped_from_file(block.values)
+        assert not _mapped_from_file(back)
+        assert block.values.tobytes(order="F") == back.tobytes(order="F") == values.tobytes(order="F")
+        if weighted:
+            assert np.array_equal(block.space.weights, back_w)
+        else:
+            assert block.space.weights is None and back_w is None
+
+    @pytest.mark.parametrize("trim, extra", [(8, b""), (0, bytes(8))])
+    def test_payload_of_the_wrong_size(self, tmp_path, trim, extra):
+        path = tmp_path / "p.hpd"
+        write_matrix(path, np.ones((4, 3)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - trim] + extra)
+        with pytest.raises(MatrixFormatError, match="payload holds"):
+            load_snapshots(path)
+
+    def test_truncated_weight_vector(self, tmp_path):
+        path = tmp_path / "w.hpd"
+        write_matrix(path, np.zeros((5, 0)), weights=np.ones(5))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8])
+        with pytest.raises(MatrixFormatError, match="weight vector"):
+            load_snapshots(path)
+
+    def test_zero_columns(self, tmp_path):
+        path = tmp_path / "z.hpd"
+        write_matrix(path, np.zeros((6, 0)))
+        block = load_snapshots(path)
+        assert block.values.shape == (6, 0)
+        assert block.count == 0
 
 
 class TestFloatText:
