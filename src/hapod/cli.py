@@ -271,7 +271,7 @@ def cmd_run(args) -> int:
     if result.right_factor is not None:
         hio.write_matrix(outdir / RIGHT_FILE, result.right_factor)
 
-    mean_error = actual_mean_error(block, result.modes)
+    mean_error = actual_mean_error(block, result.modes, manifest.workers)
     summary = [
         ("input", manifest.input),
         ("snapshot_count", block.count),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +172,7 @@ def distribute_columns(tree: RootedTree, block: SnapshotBlock, counts=None,
     blocks = {}
     at = 0
     for leaf, c in zip(order, counts):
-        blocks[leaf] = SnapshotBlock(block.space, block.values[:, at : at + c])
+        blocks[leaf] = block._part(block.values[:, at : at + c])
         at += c
     return LeafAssignment(blocks)
 
@@ -236,10 +237,12 @@ def error_bound(tree: RootedTree, tol: ToleranceAssignment, node: int | None = N
     return math.sqrt(sum(tol.epsilons[u] ** 2 for u in maps.subtree_nodes[v]))
 
 
-def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet) -> float:
+def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet, worker_count: int = 1) -> float:
     """Measured (1/m) * sum_j ||s_j - P s_j||^2 with P the orthogonal projection
     onto the span of the modes.  Computed from explicit residuals, in batches
-    of about 8 MiB of columns, so the residual never needs a full d x m copy."""
+    of about 8 MiB of columns, so the residual never needs a full d x m copy.
+    The batches run on worker_count threads and add up in batch order, so
+    the value does not depend on worker_count."""
     if not modes.orthonormal:
         raise ValueError("projection needs orthonormal modes (got a passthrough set)")
     if not snapshots.space.same_as(modes.space):
@@ -249,12 +252,18 @@ def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet) -> float:
         return 0.0
     space = snapshots.space
     batch = max(1, 2**23 // (8 * space.dimension))
-    total = 0.0
-    for a in range(0, m, batch):
+
+    def energy(a):
         resid = snapshots.values[:, a : a + batch]
-        if modes.count:
-            resid = resid - modes.modes @ space.gram(modes.modes, resid)
-        total += float(np.sum(space.norms_sq(resid)))
+        if modes.count:  # the residual overwrites the projection
+            proj = modes.modes @ space.gram(modes.modes, resid)
+            resid = np.subtract(resid, proj, out=proj)
+        return float(np.sum(space.norms_sq(resid)))
+
+    total = 0.0
+    with ThreadPoolExecutor(worker_count) as pool:
+        for part in pool.map(energy, range(0, m, batch)):
+            total += part
     return total / m
 
 

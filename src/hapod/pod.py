@@ -37,7 +37,8 @@ DEFAULT_GRAM_CUTOFF = 4.0 * float(np.finfo(np.float64).eps)
 
 
 def _read_only(a):
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    # the flag is set on a view, so the caller's array stays writeable
+    a = np.ascontiguousarray(a, dtype=np.float64).view()
     a.setflags(write=False)
     return a
 
@@ -99,6 +100,12 @@ class InnerProductSpace:
         return np.einsum("ij,ij->j", a, self.weights[:, None] * a)
 
 
+def _block_values(v):
+    """Read-only values in either memory order, so column slices of a
+    column-major (e.g. memory-mapped) matrix stay views."""
+    return _read_only(v.T).T if v.flags.f_contiguous else _read_only(v)
+
+
 @dataclass(frozen=True, eq=False)
 class SnapshotBlock:
     """A d x m column block of snapshots living in one space."""
@@ -118,12 +125,14 @@ class SnapshotBlock:
         # temporary the size of the block
         if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise ValueError("snapshot block contains non-finite entries")
-        # either memory order is kept, so column slices of a column-major
-        # (e.g. memory-mapped) matrix stay views
-        if not (v.flags.c_contiguous or v.flags.f_contiguous):
-            v = np.ascontiguousarray(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _block_values(v))
+
+    def _part(self, values: np.ndarray) -> "SnapshotBlock":
+        """A block over a slice or copy of these values, not scanned again."""
+        part = object.__new__(SnapshotBlock)
+        object.__setattr__(part, "space", self.space)
+        object.__setattr__(part, "values", _block_values(values))
+        return part
 
     @property
     def count(self) -> int:
@@ -343,6 +352,10 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     m = block.count
     if m == 0:
         return _empty_mode_set(block.space, want_right)
+    if not block.values.flags.aligned:
+        # NumPy hands no unaligned operand to BLAS, and an .hpd payload sits
+        # at an odd offset behind its header: one aligned copy per leaf
+        block = block._part(np.array(block.values, order="F"))
     space = block.space
     factor = backend.gram_eig_cutoff_factor * m
     if backend.kind == "svd":

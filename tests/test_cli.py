@@ -141,6 +141,20 @@ class TestRun:
         assert (a / "sigmas.txt").read_bytes() == (b / "sigmas.txt").read_bytes()
         assert (a / "modes.hpd").read_bytes() == (b / "modes.hpd").read_bytes()
 
+    def test_mean_error_does_not_depend_on_workers(self, tmp_path):
+        # 40000 rows put 26 columns in a mean-error batch: three batches
+        path = tmp_path / "tall.hpd"
+        write_matrix(path, synthetic_decay(40000, 60, 0.1, 3).values)
+        lines = []
+        for workers in (1, 3):
+            out = tmp_path / f"w{workers}"
+            assert run_cli("run", path, "--out", out, "--eps-star", 0.01, "--topology", "star",
+                           "--block-size", 20, "--workers", workers) == 0
+            lines.append([ln for ln in (out / "summary.txt").read_text().splitlines()
+                          if ln.startswith("mean_error=")])
+        assert len(lines[0]) == 1
+        assert lines[0] == lines[1]
+
     def test_node_linalg_error_exits_numeric(self, synthetic_file, tmp_path, monkeypatch, capsys):
         import hapod.parallel
 

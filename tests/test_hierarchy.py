@@ -126,6 +126,22 @@ class TestDistributeColumns:
         leaves = distribute_columns(build_chain(3), block, block_size=10)
         assert sorted(leaves.counts().values()) == [5, 10, 10]
 
+    def test_leaves_are_not_scanned_again(self, monkeypatch):
+        block = SnapshotBlock(InnerProductSpace(3), np.arange(3.0 * 12).reshape(3, 12, order="F"))
+        scans = []
+        real_check = SnapshotBlock.__post_init__
+
+        def counting_check(b):
+            scans.append(b.count)
+            real_check(b)
+
+        monkeypatch.setattr(SnapshotBlock, "__post_init__", counting_check)
+        leaves = distribute_columns(build_star(4), block)
+        assert scans == []
+        for leaf in leaves.blocks.values():
+            assert np.shares_memory(leaf.values, block.values)
+            assert not leaf.values.flags.writeable
+
     def test_rejects_bad_partitions(self):
         space = InnerProductSpace(2)
         block = SnapshotBlock(space, np.zeros((2, 6)))
@@ -195,7 +211,9 @@ class TestActualMeanError:
         assert 0 < out.count < cols
         resid = block.values - out.modes @ space.gram(out.modes, block.values)
         ref = float(np.sum(space.norms_sq(resid))) / cols
-        assert actual_mean_error(block, out) == pytest.approx(ref, rel=1e-12)
+        got = [actual_mean_error(block, out, workers) for workers in (1, 2, 3)]
+        assert got[0] == got[1] == got[2]
+        assert got[0] == pytest.approx(ref, rel=1e-12)
 
     def test_rejects_passthrough_modes(self):
         block = SnapshotBlock(InnerProductSpace(3), np.eye(3))

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +16,7 @@ from hapod import (
     pod,
     truncation_rank,
 )
+from hapod.io import load_snapshots, write_matrix
 from hapod.pod import _finish_modes
 from helpers import naive_rank, oracle_pod_count, span_residual_sq
 
@@ -292,6 +295,37 @@ class TestGramRoutes:
         assert sizes == [(n, n)]
 
 
+class TestUnalignedInput:
+    def test_mapped_block_reaches_the_gramian_aligned(self, tmp_path, monkeypatch):
+        path = tmp_path / "tall.hpd"
+        rng = np.random.default_rng(71)
+        write_matrix(path, rng.standard_normal((2000, 6)) @ rng.standard_normal((6, 100))
+                     + 1e-3 * rng.standard_normal((2000, 100)))
+        block = load_snapshots(path)
+        assert not block.values.flags.aligned  # the payload follows a 23-byte header
+        ref = pod(SnapshotBlock(block.space, np.array(block.values, order="F")), 0.05)
+        module = importlib.import_module("hapod.pod")  # hapod.pod is the function
+        real, aligned, scans = module.gramian, [], []
+        real_check = SnapshotBlock.__post_init__
+
+        def spy(b):
+            aligned.append(b.values.flags.aligned)
+            return real(b)
+
+        def counting_check(b):
+            scans.append(b.count)
+            real_check(b)
+
+        monkeypatch.setattr(module, "gramian", spy)
+        monkeypatch.setattr(SnapshotBlock, "__post_init__", counting_check)
+        out = pod(block, 0.05)
+        assert aligned == [True]
+        assert scans == []  # the copy is not scanned for non-finite entries again
+        assert 0 < out.count < 100
+        assert np.array_equal(out.sigmas, ref.sigmas)
+        assert np.array_equal(out.modes, ref.modes)
+
+
 class TestFinishModes:
     def test_drifted_modes_are_reorthonormalized(self):
         rng = np.random.default_rng(61)
@@ -396,6 +430,17 @@ class TestValidation:
     def test_block_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             SnapshotBlock(euclid(3), np.zeros((4, 2)))
+
+    def test_caller_arrays_stay_writeable(self):
+        w, values, fvalues = np.ones(3), np.ones((3, 2)), np.ones((3, 2), order="F")
+        sigmas, modes, right = np.ones(2), np.eye(3)[:, :2].copy(), np.eye(2)
+        space = InnerProductSpace(3, w)
+        block, fblock = SnapshotBlock(space, values), SnapshotBlock(space, fvalues)
+        ms = ModeSet(space, sigmas, modes, right=right)
+        for a in (w, values, fvalues, sigmas, modes, right):
+            assert a.flags.writeable
+        for a in (space.weights, block.values, fblock.values, ms.sigmas, ms.modes, ms.right):
+            assert not a.flags.writeable
 
     def test_backend_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
