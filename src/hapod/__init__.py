@@ -15,7 +15,7 @@ from .hierarchy import (
     error_bound,
     run_hapod,
 )
-from .parallel import ExecStats, Schedule, critical_path_time, peak_resident_modes, plan, run_parallel
+from .parallel import ExecStats, critical_path_time, run_parallel
 from .pod import (
     InnerProductSpace,
     ModeSet,
@@ -52,7 +52,6 @@ __all__ = [
     "NodeReport",
     "PodBackend",
     "RootedTree",
-    "Schedule",
     "SessionError",
     "SnapshotBlock",
     "ToleranceAssignment",
@@ -71,8 +70,6 @@ __all__ = [
     "format_tree_text",
     "gramian",
     "parse_tree_text",
-    "peak_resident_modes",
-    "plan",
     "pod",
     "run_hapod",
     "run_parallel",

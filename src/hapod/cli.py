@@ -18,8 +18,8 @@ import scipy.linalg
 
 from . import io as hio
 from .datagen import BurgersConfig, GenerationError, burgers_snapshots, synthetic_decay
-from .hierarchy import LeafAssignment, actual_mean_error, assign_tolerances, distribute_columns, run_hapod
-from .parallel import critical_path_time, peak_resident_modes, run_parallel
+from .hierarchy import LeafAssignment, actual_mean_error, assign_tolerances, distribute_columns
+from .parallel import run_parallel
 from .pod import InnerProductSpace, ModeSet, PodBackend, pod, truncation_rank
 from .tree import RootedTree, build_balanced, build_chain, build_star, derive_maps, format_tree_text, parse_tree_text
 
@@ -458,15 +458,15 @@ def cmd_bench(args) -> int:
             leaves = distribute_columns(tree, data, block_size=args.block_size, maps=maps)
             tol = assign_tolerances(tree, leaves, args.eps_star, args.omega)
             started = time.perf_counter()
-            result = run_hapod(tree, leaves, tol, PodBackend("gram"))
+            _, stats = run_parallel(tree, leaves, tol, PodBackend("gram"))
             seq_time = time.perf_counter() - started
             rows.append(
                 "\t".join(
                     [
                         str(size), name, str(maps.depth), str(args.block_size),
                         repr(seq_time),
-                        repr(critical_path_time(tree, result.reports)),
-                        str(peak_resident_modes(tree, result.reports)),
+                        repr(stats.critical_path_time),
+                        str(stats.peak_resident_modes),
                     ]
                 )
             )

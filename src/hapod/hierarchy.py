@@ -14,13 +14,14 @@ the size of the intermediate decompositions.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pod import InnerProductSpace, ModeSet, PodBackend, SnapshotBlock, block_gramian_pod, pod
+from .pod import BATCH_BYTES, InnerProductSpace, ModeSet, PodBackend, SnapshotBlock, block_gramian_pod, pod
 from .tree import RootedTree, TreeMaps, build_chain, derive_maps
 
 __all__ = [
@@ -240,9 +241,12 @@ def error_bound(tree: RootedTree, tol: ToleranceAssignment, node: int | None = N
 def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet, worker_count: int = 1) -> float:
     """Measured (1/m) * sum_j ||s_j - P s_j||^2 with P the orthogonal projection
     onto the span of the modes.  Computed from explicit residuals, in batches
-    of about 8 MiB of columns, so the residual never needs a full d x m copy.
-    The batches run on worker_count threads and add up in batch order, so
-    the value does not depend on worker_count."""
+    of about `BATCH_BYTES` of columns, so the residual never needs a full
+    d x m copy.  The batches run on worker_count threads and add up in batch
+    order, so the value does not depend on worker_count.  Each worker copies
+    its batch into one aligned row-major buffer of its own (BLAS takes no
+    slice of an unaligned .hpd map) and overwrites it with the residual an
+    eighth of the rows at a time, so a worker holds about one batch."""
     if not modes.orthonormal:
         raise ValueError("projection needs orthonormal modes (got a passthrough set)")
     if not snapshots.space.same_as(modes.space):
@@ -251,13 +255,21 @@ def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet, worker_count: in
     if m == 0:
         return 0.0
     space = snapshots.space
-    batch = max(1, 2**23 // (8 * space.dimension))
+    d = space.dimension
+    batch = max(1, BATCH_BYTES // (8 * d))
+    rows = -(-d // 8)
+    buffers = threading.local()
 
     def energy(a):
-        resid = snapshots.values[:, a : a + batch]
-        if modes.count:  # the residual overwrites the projection
-            proj = modes.modes @ space.gram(modes.modes, resid)
-            resid = np.subtract(resid, proj, out=proj)
+        if not hasattr(buffers, "batch"):
+            buffers.batch = np.empty(d * min(batch, m))
+        chunk = snapshots.values[:, a : a + batch]
+        resid = buffers.batch[: chunk.size].reshape(chunk.shape)
+        np.copyto(resid, chunk)
+        if modes.count:
+            coef = space.gram(modes.modes, resid)
+            for r in range(0, d, rows):
+                np.subtract(resid[r : r + rows], modes.modes[r : r + rows] @ coef, out=resid[r : r + rows])
         return float(np.sum(space.norms_sq(resid)))
 
     total = 0.0
@@ -285,36 +297,32 @@ def _node_report(tree: RootedTree, maps: TreeMaps, node: int, input_count: int,
 
 
 def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAssignment,
-                  backend: PodBackend, leaves: LeafAssignment, child_results, track: bool):
+                  backend: PodBackend, leaves: LeafAssignment, child_results, track: bool,
+                  spread=None):
     """POD step for one node given its children's outputs.
 
     child_results is a list of (ModeSet, cumulative right factor or None) in
-    child-list order.  Returns (ModeSet, cumulative right factor or None,
-    NodeReport).
+    child-list order.  An interior node decomposes its children's scaled
+    modes side by side as one stacked block, whose rows are written only
+    when a row panel of the POD asks for them, so the stacked input is never
+    held whole.  spread runs those panels (see `pod`).  Returns (ModeSet,
+    cumulative right factor or None, NodeReport).
     """
     eps = tol.epsilons[node]
-    space = leaves.space
     started = time.perf_counter()
     if not tree.children[node]:
         block = leaves.blocks[node]
-        out = pod(block, eps, backend, want_right=track)
-        lhat = out.right if track else None
-        input_count = block.count
     else:
+        block = SnapshotBlock._stack(leaves.space, [(ms.modes, ms.sigmas) for ms, _ in child_results])
+    out = pod(block, eps, backend, want_right=track, spread=spread)
+    lhat = out.right if track else None
+    if track and tree.children[node]:
+        # block_diag(child factors) @ out.right, one child's rows at a time
         ends = np.cumsum([ms.count for ms, _ in child_results])
-        input_count = int(ends[-1])
-        # the children's scaled modes, written side by side into one array
-        stacked = np.empty((space.dimension, input_count))
-        for (ms, _), end in zip(child_results, ends):
-            np.multiply(ms.modes, ms.sigmas[None, :], out=stacked[:, end - ms.count:end])
-        out = pod(SnapshotBlock(space, stacked), eps, backend, want_right=track)
-        lhat = None
-        if track:
-            # block_diag(child factors) @ out.right, one child's rows at a time
-            lhat = np.vstack([lh @ out.right[end - ms.count:end]
-                              for (ms, lh), end in zip(child_results, ends)])
+        lhat = np.vstack([lh @ out.right[end - ms.count:end]
+                          for (ms, lh), end in zip(child_results, ends)])
     wall = time.perf_counter() - started
-    report = _node_report(tree, maps, node, input_count, maps.subordinate_leaf_counts[node],
+    report = _node_report(tree, maps, node, block.count, maps.subordinate_leaf_counts[node],
                           eps, out, wall)
     return out, lhat, report
 
@@ -381,8 +389,9 @@ class IncrementalSession:
             merged = block_gramian_pod(prior, fresh, eps, self.backend)
         else:
             # the first merge: nothing carried yet, or the raw bottom leaf
-            joined = fresh.values if prior is None else np.hstack([prior.scaled(), fresh.values])
-            merged = pod(SnapshotBlock(fresh.space, joined), eps, self.backend)
+            block = fresh if prior is None else SnapshotBlock._stack(
+                fresh.space, [(prior.modes, prior.sigmas), (fresh.values, None)])
+            merged = pod(block, eps, self.backend)
         wall = time.perf_counter() - started
         input_count = fresh.count + (prior.count if prior is not None else 0)
         self._current = merged

@@ -2,14 +2,17 @@
 
 A node becomes ready when its last child finishes; among ready nodes the one
 first in post-order starts first, so a single worker walks the tree in
-post-order.  Workers only change wall time: node inputs are immutable and each
-node's arithmetic is identical whatever the schedule, so sigmas come out
-bit-for-bit equal for any worker count.
+post-order.  A node's own row panels (see `hapod.pod.pod`) run on the same
+pool: idle threads take some while the node's thread takes the rest.  Workers
+only change wall time: node inputs are immutable, a node's panels are fixed by
+its shape and added in panel order, so sigmas come out bit-for-bit equal for
+any worker count.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -18,14 +21,7 @@ from .hierarchy import HapodResult, LeafAssignment, NodeReport, ToleranceAssignm
 from .pod import PodBackend
 from .tree import RootedTree, derive_maps
 
-__all__ = ["Schedule", "ExecStats", "plan", "run_parallel", "critical_path_time", "peak_resident_modes"]
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """waves[l-1] holds the ids of every node at level l, ascending."""
-
-    waves: tuple[tuple[int, ...], ...]
+__all__ = ["ExecStats", "run_parallel", "critical_path_time"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,6 +31,9 @@ class ExecStats:
     wave_times[l-1] is the span of level l, from the start of its first node
     to the end of its last; levels overlap, so the spans may too.
     critical_path_time is the longest root-to-leaf sum of node wall times.
+    peak_resident_modes is the largest number of mode columns that node
+    outputs held at once in this run, counted when each node finishes and
+    before its children's outputs are released.
     """
 
     wave_times: tuple[float, ...]
@@ -44,12 +43,50 @@ class ExecStats:
     peak_resident_modes: int
 
 
-def plan(tree: RootedTree) -> Schedule:
-    maps = derive_maps(tree)
-    waves: list[list[int]] = [[] for _ in range(maps.depth)]
-    for v in range(tree.node_count):
-        waves[maps.level[v] - 1].append(v)
-    return Schedule(tuple(tuple(w) for w in waves))
+def _pooled_spread(pool: ThreadPoolExecutor, helpers: int):
+    """A `pod` spread whose panels idle pool threads may take.
+
+    The calling thread claims panels in order and runs them; up to `helpers`
+    pool tasks claim panels beside it.  It waits only for panels another
+    thread has claimed, which that thread is already running, so no thread
+    ever waits on a task that no free thread can start.  A helper that starts
+    after every panel is claimed returns at once.
+    """
+
+    def spread(fn, count):
+        results = [None] * count
+        failures: dict[int, Exception] = {}
+        claimed = finished = 0
+        lock = threading.Condition()
+
+        def work():
+            nonlocal claimed, finished
+            while True:
+                with lock:
+                    if claimed == count:
+                        return
+                    p = claimed
+                    claimed += 1
+                try:
+                    results[p] = fn(p)
+                except Exception as exc:
+                    failures[p] = exc
+                with lock:
+                    finished += 1
+                    lock.notify_all()
+
+        for _ in range(min(helpers, count - 1)):
+            pool.submit(work)
+        work()
+        with lock:
+            lock.wait_for(lambda: finished == count)
+        if failures:
+            raise failures[min(failures)]
+        out = results[:]
+        results.clear()  # a late helper must not keep the panels alive
+        return out
+
+    return spread
 
 
 def critical_path_time(tree: RootedTree, reports) -> float:
@@ -70,26 +107,6 @@ def critical_path_time(tree: RootedTree, reports) -> float:
     return longest
 
 
-def peak_resident_modes(tree: RootedTree, reports) -> int:
-    """Largest number of mode columns alive at once under the retention rule
-    'a child's output is released when its parent completes', evaluated
-    wave-synchronously."""
-    count = {r.node: r.output_mode_count for r in reports}
-    live = 0
-    peak = 0
-    held: dict[int, int] = {}
-    for wave in plan(tree).waves:
-        produced = sum(count.get(v, 0) for v in wave)
-        peak = max(peak, live + produced)
-        live += produced
-        for v in wave:
-            held[v] = count.get(v, 0)
-        for v in wave:
-            for c in tree.children[v]:
-                live -= held.pop(c)
-    return peak
-
-
 def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignment,
                  backend: PodBackend | None = None, worker_count: int = 1,
                  track_right_factor: bool = False) -> tuple[HapodResult, ExecStats]:
@@ -97,10 +114,14 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
 
     Each node starts as soon as its last child finishes and a worker is free,
     ready nodes in post-order.  The dense kernels drop the interpreter lock,
-    so nodes really do overlap.  Child outputs are released when their parent
-    finishes.  If a node raises, the running nodes finish, nothing new
-    starts, and the exception of the lowest failing node id propagates with a
-    note naming that node.
+    so nodes really do overlap.  The row panels of a node's POD run on the
+    same pool of worker_count threads: the node's thread runs them in order
+    while idle threads take panels it has not reached, and the panels are
+    added in panel order whoever ran them.  No thread waits for a panel that
+    nobody has started, and there is no second pool.  Child outputs are
+    released when their parent finishes.  If a node raises, the running
+    nodes finish, nothing new starts, and the exception of the lowest failing
+    node id propagates with a note naming that node.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be at least 1")
@@ -119,15 +140,18 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
 
     def timed(v, child_results):
         started = time.perf_counter()
-        out = evaluate_node(tree, maps, v, tol, backend, leaves, child_results, track_right_factor)
+        out = evaluate_node(tree, maps, v, tol, backend, leaves, child_results, track_right_factor,
+                            spread)
         return started, time.perf_counter(), out
 
+    resident = peak = 0
     live: dict[int, tuple] = {}
     reports: dict[int, NodeReport] = {}
     spans: dict[int, tuple[float, float]] = {}
     failures: dict[int, Exception] = {}
     running: dict = {}
     with ThreadPoolExecutor(max_workers=worker_count) as pool:
+        spread = _pooled_spread(pool, worker_count - 1) if worker_count > 1 else None
         while running or (ready and not failures):
             while ready and not failures and len(running) < worker_count:
                 _, v = heapq.heappop(ready)
@@ -144,8 +168,10 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
                 live[v] = (out, lhat)
                 reports[v] = rep
                 spans[v] = (started, ended)
+                resident += out.count
+                peak = max(peak, resident)
                 for c in tree.children[v]:
-                    del live[c]
+                    resident -= live.pop(c)[0].count
                 parent = maps.parent[v]
                 if parent >= 0:
                     waiting[parent] -= 1
@@ -174,6 +200,6 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
         node_times={r.node: r.wall_time for r in ordered},
         critical_path_time=critical_path_time(tree, ordered),
         total_node_time=float(sum(r.wall_time for r in ordered)),
-        peak_resident_modes=peak_resident_modes(tree, ordered),
+        peak_resident_modes=peak,
     )
     return result, stats

@@ -9,6 +9,15 @@ d x d correlation matrix for a wider block; both have the same nonzero
 spectrum, and rank is at most min(d, m).  The other route is a direct SVD of
 the weighted snapshot matrix, which does not square the condition number.
 
+The Gramian route of a tall block works on fixed row panels of about
+`BATCH_BYTES` each: the partial Gramians S_p^T W_p S_p are added in panel
+order, one eigendecomposition follows, and the modes S_p psi / sigma are
+assembled a panel at a time.  The panels depend on the block's shape only,
+so the result does not depend on which threads run them; a block of one
+panel takes exactly the unpanelled route.  A block may be a stack of
+column-scaled parts (`SnapshotBlock._stack`), whose rows are written only
+when a panel asks for them, so the stacked input is never held whole.
+
 Everything works in R^d equipped with an optional strictly positive diagonal
 weight vector; without weights the inner product is the Euclidean one.
 """
@@ -21,6 +30,7 @@ import numpy as np
 import scipy.linalg
 
 __all__ = [
+    "BATCH_BYTES",
     "DEFAULT_GRAM_CUTOFF",
     "InnerProductSpace",
     "SnapshotBlock",
@@ -34,6 +44,10 @@ __all__ = [
 
 #: Gramian eigenvalues below ``factor * lam_max * m`` count as numerical zeros.
 DEFAULT_GRAM_CUTOFF = 4.0 * float(np.finfo(np.float64).eps)
+
+#: Bytes per piece of a data pass: the row panels of a tall Gramian node and
+#: the column batches of the mean-error pass.
+BATCH_BYTES = 2**23
 
 
 def _read_only(a):
@@ -127,16 +141,54 @@ class SnapshotBlock:
             raise ValueError("snapshot block contains non-finite entries")
         object.__setattr__(self, "values", _block_values(v))
 
-    def _part(self, values: np.ndarray) -> "SnapshotBlock":
-        """A block over a slice or copy of these values, not scanned again."""
-        part = object.__new__(SnapshotBlock)
-        object.__setattr__(part, "space", self.space)
-        object.__setattr__(part, "values", _block_values(values))
-        return part
+    def _part(self, values: np.ndarray, space: InnerProductSpace | None = None) -> "SnapshotBlock":
+        """A block over a slice or copy of these values, not scanned again;
+        ``space`` replaces this block's space for a slice of its rows."""
+        return _unchecked(space or self.space, _block_values(values))
+
+    @staticmethod
+    def _stack(space: InnerProductSpace, parts) -> "SnapshotBlock":
+        """The block [s_1 * A_1 | s_2 * A_2 | ...] of already-checked parts
+        (A_i, s_i), s_i a column scale or None; see `_ColumnStack`."""
+        return _unchecked(space, _ColumnStack(parts))
 
     @property
     def count(self) -> int:
         return self.values.shape[1]
+
+
+def _unchecked(space, values) -> SnapshotBlock:
+    block = object.__new__(SnapshotBlock)
+    object.__setattr__(block, "space", space)
+    object.__setattr__(block, "values", values)
+    return block
+
+
+class _ColumnStack:
+    """The d x n values [s_1 * A_1 | s_2 * A_2 | ...] of a stacked block,
+    never held whole: a row slice writes only its own rows (C order), and
+    ``np.asarray`` writes them all for the routes that need the whole."""
+
+    def __init__(self, parts):
+        self.parts = list(parts)
+        self.shape = (self.parts[0][0].shape[0], sum(a.shape[1] for a, _ in self.parts))
+        self.nbytes = 8 * self.shape[0] * self.shape[1]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.shape[0])
+        out = np.empty((stop - start, self.shape[1]))
+        at = 0
+        for a, scale in self.parts:
+            k = a.shape[1]
+            if scale is None:
+                out[:, at : at + k] = a[rows]
+            else:
+                np.multiply(a[rows], scale[None, :], out=out[:, at : at + k])
+            at += k
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return self[:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,8 +370,34 @@ def _descending_eigh(a: np.ndarray):
     return lam[::-1], vec[:, ::-1]
 
 
+def _row_panels(d: int, m: int) -> list[tuple[int, int]]:
+    """Row ranges a:b splitting a d x m block into about d*m*8 / BATCH_BYTES
+    equal panels: a function of the shape only."""
+    count = min(d, max(1, -(-8 * d * m // BATCH_BYTES)))
+    edges = [d * p // count for p in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _panel(block: SnapshotBlock, a: int, b: int) -> SnapshotBlock:
+    """Rows a:b of a block as a block of their own, in memory BLAS can take."""
+    values = block.values[a:b]
+    if not values.flags.aligned or not (values.flags.c_contiguous or values.flags.f_contiguous):
+        # NumPy hands no unaligned operand to BLAS (an .hpd payload sits at
+        # an odd offset behind its header), and rows of a column-major block
+        # are in neither order: copy this panel, column by column
+        values = np.array(values, order="F")
+    space = block.space
+    if b - a != space.dimension:
+        space = InnerProductSpace(b - a, None if space.weights is None else space.weights[a:b])
+    return block._part(values, space)
+
+
+def _in_order(fn, count):
+    return [fn(p) for p in range(count)]
+
+
 def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
-        want_right: bool = False) -> ModeSet:
+        want_right: bool = False, spread=None) -> ModeSet:
     """POD of a snapshot block, truncated at squared-error budget epsilon^2.
 
     Parameters
@@ -338,6 +416,11 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     want_right
         Also return the right singular vectors (needed to track snapshot
         coefficients through a hierarchy).
+    spread
+        ``spread(fn, count)`` returns ``[fn(0), ..., fn(count - 1)]``; it
+        runs the row panels of the Gramian route.  The default runs them in
+        order on the calling thread, the executor lets idle pool threads
+        take some.  The result does not depend on it.
 
     Returns
     -------
@@ -352,14 +435,11 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     m = block.count
     if m == 0:
         return _empty_mode_set(block.space, want_right)
-    if not block.values.flags.aligned:
-        # NumPy hands no unaligned operand to BLAS, and an .hpd payload sits
-        # at an odd offset behind its header: one aligned copy per leaf
-        block = block._part(np.array(block.values, order="F"))
     space = block.space
+    d = space.dimension
     factor = backend.gram_eig_cutoff_factor * m
     if backend.kind == "svd":
-        u, s, vt = scipy.linalg.svd(space.weigh(block.values), full_matrices=False)
+        u, s, vt = scipy.linalg.svd(space.weigh(_panel(block, 0, d).values), full_matrices=False)
         s = _above_floor(s, factor)
 
         def assemble(rank, sig):
@@ -367,18 +447,37 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
             return space.unweigh(u[:, :rank]), right
 
         return _from_spectrum(s * s, assemble, space, epsilon, m, want_right)
-    if m <= space.dimension:
-        # method of snapshots: modes S psi / sigma from Gramian eigenvectors psi
-        lam, psi = _descending_eigh(gramian(block))
+    if m <= d:
+        # method of snapshots over fixed row panels: G = sum_p S_p^T W_p S_p
+        # in panel order, then the modes S_p psi / sigma one panel at a time
+        spread = spread or _in_order
+        panels = _row_panels(d, m)
+        whole = _panel(block, 0, d) if len(panels) == 1 else None
+
+        def panel(p):
+            return whole if whole is not None else _panel(block, *panels[p])
+
+        parts = spread(lambda p: gramian(panel(p)), len(panels))
+        g = parts[0]
+        for part in parts[1:]:
+            g += part
+        del parts
+        lam, psi = _descending_eigh(g)
 
         def assemble(rank, sig):
-            right = psi[:, :rank] if want_right else None
-            return (block.values @ psi[:, :rank]) / sig[None, :], right
+            modes = np.empty((d, rank))
+
+            def rows(p):
+                a, b = panels[p]
+                np.divide(panel(p).values @ psi[:, :rank], sig[None, :], out=modes[a:b])
+
+            spread(rows, len(panels))
+            return modes, psi[:, :rank] if want_right else None
     else:
         # wide block: eigenvectors U of A A^T are the weighted modes, and the
         # right vectors are A^T U / sigma; eigh reads one triangle only, so
         # A A^T needs no symmetrizing
-        a = space.weigh(block.values)
+        a = space.weigh(_panel(block, 0, d).values)
         lam, u = _descending_eigh(a @ a.T)
 
         def assemble(rank, sig):
@@ -394,7 +493,8 @@ def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
 
     The merge step of single-pass incremental compression: the scaled prior
     modes and the fresh columns are stacked and decomposed by `pod` with the
-    given backend, the same step a chain run's merge node performs.
+    given backend, the same step a chain run's merge node performs.  The
+    stack is written a row panel at a time, never whole.
     """
     if not prior.orthonormal:
         raise ValueError("prior modes must be orthonormal (passthrough sets cannot be extended this way)")
@@ -402,5 +502,5 @@ def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
         raise ValueError("prior modes and fresh block live in different spaces")
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
-    columns = np.hstack([prior.scaled(), fresh.values])
-    return pod(SnapshotBlock(prior.space, columns), epsilon, backend, want_right=want_right)
+    block = SnapshotBlock._stack(prior.space, [(prior.modes, prior.sigmas), (fresh.values, None)])
+    return pod(block, epsilon, backend, want_right=want_right)

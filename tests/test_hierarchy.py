@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hapod import (
     IncrementalSession,
     InnerProductSpace,
     LeafAssignment,
+    ModeSet,
     PodBackend,
     RootedTree,
     SessionError,
@@ -25,6 +27,7 @@ from hapod import (
     synthetic_decay,
 )
 from hapod.hierarchy import evaluate_node
+from hapod.io import load_snapshots, write_matrix
 from helpers import oracle_pod_count, random_case, span_residual_sq, stacked_leaf_columns
 
 
@@ -215,11 +218,64 @@ class TestActualMeanError:
         assert got[0] == got[1] == got[2]
         assert got[0] == pytest.approx(ref, rel=1e-12)
 
+    def test_mapped_batches_reach_blas_aligned(self, tmp_path, monkeypatch):
+        # an .hpd payload sits 23 bytes into the file: every batch is copied
+        # to an aligned buffer, so the result is the in-memory one, bit for bit
+        rng = np.random.default_rng(17)
+        path = tmp_path / "tall.hpd"
+        write_matrix(path, rng.standard_normal((3000, 5)) @ rng.standard_normal((5, 900))
+                     + 1e-3 * rng.standard_normal((3000, 900)))
+        mapped = load_snapshots(path)
+        assert not mapped.values.flags.aligned
+        in_memory = SnapshotBlock(mapped.space, np.array(mapped.values))
+        out = pod(in_memory, 0.5)
+        ref = actual_mean_error(in_memory, out)
+        aligned, real = [], InnerProductSpace.gram
+
+        def spy(space, a, b):
+            aligned.append(b.flags.aligned)
+            return real(space, a, b)
+
+        monkeypatch.setattr(InnerProductSpace, "gram", spy)
+        got = [actual_mean_error(mapped, out, workers) for workers in (1, 2)]
+        assert got == [ref, ref]
+        assert len(aligned) == 2 * math.ceil(900 / (2**23 // (8 * 3000)))
+        assert all(aligned)
+
     def test_rejects_passthrough_modes(self):
         block = SnapshotBlock(InnerProductSpace(3), np.eye(3))
         raw = pod(block, 0.0)
         with pytest.raises(ValueError):
             actual_mean_error(block, raw)
+
+
+class TestStackedInput:
+    def test_interior_peak_below_the_stacked_input(self):
+        # four children of 40 modes in R^40000: stacked, the root's input
+        # would take 51 MB; it is written one row panel of about 8 MiB at a
+        # time, and only for as long as that panel is in use
+        rng = np.random.default_rng(19)
+        dim, k, n = 40000, 4, 40
+        space = InnerProductSpace(dim)
+        tree = build_star(k)
+        maps = derive_maps(tree, {leaf: n for leaf in tree.children[tree.root]})
+        leaves = LeafAssignment({leaf: SnapshotBlock(space, np.zeros((dim, 0)))
+                                 for leaf in tree.children[tree.root]})
+        sigmas = np.exp(-0.3 * np.arange(n))
+        children = [(ModeSet(space, sigmas, np.linalg.qr(rng.standard_normal((dim, n)))[0]), None)
+                    for _ in range(k)]
+        tol = ToleranceAssignment((0.5,) + (0.0,) * k)
+        stacked_bytes = 8 * dim * k * n
+        tracemalloc.start()
+        try:
+            out, _, report = evaluate_node(tree, maps, tree.root, tol, PodBackend(), leaves,
+                                           children, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.input_count == k * n
+        assert 0 < out.count < k * n
+        assert peak < stacked_bytes / 2
 
 
 class TestRunHapod:

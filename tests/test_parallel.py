@@ -1,3 +1,7 @@
+import importlib
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -20,30 +24,12 @@ from hapod import (
     critical_path_time,
     derive_maps,
     distribute_columns,
-    plan,
     run_hapod,
     run_parallel,
     synthetic_decay,
 )
-from hapod.parallel import peak_resident_modes
+from hapod.parallel import _pooled_spread
 from helpers import random_case
-
-
-class TestPlan:
-    def test_star(self):
-        assert plan(build_star(4)).waves == ((1, 2, 3, 4), (0,))
-
-    def test_chain(self):
-        # leaves fire first, then each merge in turn
-        assert plan(build_chain(3)).waves == ((2, 3, 4), (1,), (0,))
-
-    def test_balanced_hundred(self):
-        waves = plan(build_balanced(100, 2)).waves
-        assert tuple(len(w) for w in waves) == (100, 10, 1)
-
-    def test_single_node(self):
-        from hapod import RootedTree
-        assert plan(RootedTree(((),), 0)).waves == ((0,),)
 
 
 class TestRunParallel:
@@ -103,6 +89,28 @@ class TestRunParallel:
             run_parallel(tree, leaves, tol, worker_count=4)
 
 
+    def test_panel_failure_is_named(self, monkeypatch):
+        # a panel that fails on a helper thread fails its node, not the pool
+        pod_module = importlib.import_module("hapod.pod")
+        block = SnapshotBlock(InnerProductSpace(200), synthetic_decay(200, 60, 0.3, seed=4).values)
+        tree = build_star(3)
+        leaves = distribute_columns(tree, block)
+        tol = assign_tolerances(tree, leaves, 1e-9)
+        # leaves of 20 columns in 20 panels of 10 rows; leaf 2's last one fails
+        monkeypatch.setattr(pod_module, "BATCH_BYTES", 8 * 10 * 20)
+        last = leaves.blocks[2].values[-10:]
+        real = pod_module.gramian
+
+        def fail_last_panel(b):
+            if b.values.shape == last.shape and np.array_equal(b.values, last):
+                raise FloatingPointError("synthetic breakdown")
+            return real(b)
+
+        monkeypatch.setattr(pod_module, "gramian", fail_last_panel)
+        with pytest.raises(FloatingPointError, match="node 2"):
+            run_parallel(tree, leaves, tol, worker_count=2)
+
+
 class TestWorkerCountInvariance:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -139,6 +147,56 @@ class TestWorkerCountInvariance:
             assert np.array_equal(other.right_factor, runs[0].right_factor)
 
 
+    def test_bit_identical_with_panelled_nodes(self):
+        # 65536 rows: the leaves of 20 columns split into 2 row panels each,
+        # the root over 4 x 20 modes into 5, so panels of a node run on
+        # idle workers whenever there are any
+        pod_module = importlib.import_module("hapod.pod")
+        dim = 2**16
+        data = synthetic_decay(dim, 80, 0.2, seed=21).values
+        block = SnapshotBlock(InnerProductSpace(dim), data)
+        tree = build_star(4)
+        leaves = distribute_columns(tree, block, block_size=20)
+        tol = assign_tolerances(tree, leaves, 1e-9)
+        assert len(pod_module._row_panels(dim, 20)) == 2
+        runs = [run_parallel(tree, leaves, tol, worker_count=w, track_right_factor=True)[0]
+                for w in (1, 2, 3)]
+        root = runs[0].report_for(tree.root)
+        assert len(pod_module._row_panels(dim, root.input_count)) == 5
+        for other in runs[1:]:
+            assert np.array_equal(other.modes.sigmas, runs[0].modes.sigmas)
+            assert np.array_equal(other.modes.modes, runs[0].modes.modes)
+            assert np.array_equal(other.right_factor, runs[0].right_factor)
+
+
+class TestPooledSpread:
+    def test_owners_filling_the_pool_finish_alone(self):
+        # eight owners take all eight threads of the pool, so their helpers
+        # queue behind them and each owner must run its own panels; a short
+        # switch interval interleaves the claims.  Every panel must run
+        # exactly once and come back in panel order.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                spread = _pooled_spread(pool, 7)
+                hits = [[0] * 200 for _ in range(8)]
+
+                def owner(o):
+                    def panel(p):
+                        hits[o][p] += 1
+                        time.sleep(0)
+                        return o * 1000 + p
+                    return spread(panel, 200)
+
+                owners = [pool.submit(owner, o) for o in range(8)]
+                results = [f.result(timeout=60) for f in owners]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[o * 1000 + p for p in range(200)] for o in range(8)]
+        assert hits == [[1] * 200] * 8
+
+
 class TestCriticalPathTime:
     def test_longest_path_through_the_tree(self):
         # root 0 -> (1, 2), 1 -> (3, 4).  The slow leaf 2 shares level 1 with
@@ -157,8 +215,9 @@ class TestCriticalPathTime:
 
 class TestPeakResidentModes:
     def test_star_passthrough_counts(self):
-        # epsilon 0 everywhere: leaves emit their raw columns (3 + 4), the
-        # root emits all 7 while both children are still held
+        # epsilon 0 everywhere: the leaves finish holding their raw columns
+        # (3 + 4), then the root finishes with all 7 while both children
+        # are still held
         space = InnerProductSpace(5)
         rng = np.random.default_rng(13)
         tree = build_star(2)
@@ -167,17 +226,17 @@ class TestPeakResidentModes:
             2: SnapshotBlock(space, rng.standard_normal((5, 4))),
         })
         tol = ToleranceAssignment((0.0, 0.0, 0.0))
-        result, stats = run_parallel(tree, leaves, tol)
-        assert stats.peak_resident_modes == 14
-        assert peak_resident_modes(tree, result.reports) == 14
+        for workers in (1, 2):
+            _, stats = run_parallel(tree, leaves, tol, worker_count=workers)
+            assert stats.peak_resident_modes == 14
 
     def test_chain_releases_between_waves(self):
-        # passthrough chain over blocks of 2, 3, 4: wave peaks are 9 (all
-        # leaves), 9 - released(2,3) + produced(5), then 4 + 5 + 9 at the root
+        # passthrough chain over blocks of 2, 3, 4 on one worker, in
+        # post-order: 2, 2 + 3, then the merge holds 5 + 5 and releases its
+        # leaves; the last leaf brings 5 + 4, and the root 9 + 9 = 18
         space = InnerProductSpace(5)
         rng = np.random.default_rng(17)
         tree = build_chain(3)
-        from hapod import derive_maps
         maps = derive_maps(tree)
         sizes = dict(zip(maps.leaf_order, (2, 3, 4)))
         leaves = LeafAssignment({
@@ -185,5 +244,5 @@ class TestPeakResidentModes:
             for leaf in maps.leaf_order
         })
         tol = ToleranceAssignment((0.0,) * tree.node_count)
-        result, stats = run_parallel(tree, leaves, tol)
+        _, stats = run_parallel(tree, leaves, tol)
         assert stats.peak_resident_modes == 18

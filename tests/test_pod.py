@@ -1,4 +1,6 @@
 import importlib
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from hapod import (
 from hapod.io import load_snapshots, write_matrix
 from hapod.pod import _finish_modes
 from helpers import naive_rank, oracle_pod_count, span_residual_sq
+
+POD = importlib.import_module("hapod.pod")  # hapod.pod is the function
 
 
 def euclid(dim):
@@ -324,6 +328,77 @@ class TestUnalignedInput:
         assert 0 < out.count < 100
         assert np.array_equal(out.sigmas, ref.sigmas)
         assert np.array_equal(out.modes, ref.modes)
+
+
+class TestRowPanels:
+    def test_panels_follow_the_shape_only(self):
+        for d, m in [(1, 1), (50, 7), (20000, 100), (20000, 470), (10**6, 3), (5, 10**6)]:
+            panels = POD._row_panels(d, m)
+            assert len(panels) == min(d, math.ceil(8 * d * m / POD.BATCH_BYTES))
+            assert panels[0][0] == 0 and panels[-1][1] == d
+            assert all(a < b for a, b in panels)
+            assert all(b == c for (_, b), (c, _) in zip(panels, panels[1:]))
+        # a 20000-row root over ten children of 47 modes: nine panels
+        assert len(POD._row_panels(20000, 470)) == 9
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(8, 80), cols=st.integers(1, 8),
+           pieces=st.integers(2, 7), weighted=st.booleans(), want_right=st.booleans(),
+           rate=st.floats(0.05, 0.3), data=st.data())
+    def test_many_panels_match_one(self, seed, dim, cols, pieces, weighted, want_right, rate, data):
+        rng = np.random.default_rng(seed)
+        cols = min(cols, dim)
+        weights = rng.uniform(0.5, 2.0, dim) if weighted else None
+        sigmas = np.exp(-rate * np.arange(cols))
+        block = spectrum_block(rng, dim, cols, sigmas, weights)
+        keep = data.draw(st.integers(1, cols), label="keep")
+        # budget halfway into the gap after the kept sigmas
+        eps_sq = float(np.sum(sigmas[keep:] ** 2)) + 0.5 * sigmas[keep - 1] ** 2
+        one = pod(block, np.sqrt(eps_sq), want_right=want_right)
+        assert len(POD._row_panels(dim, cols)) == 1
+        with mock.patch.object(POD, "BATCH_BYTES", max(1, 8 * dim * cols // pieces)):
+            assert len(POD._row_panels(dim, cols)) >= 2
+            many = pod(block, np.sqrt(eps_sq), want_right=want_right)
+        assert many.count == one.count == keep
+        assert np.allclose(many.sigmas, one.sigmas, rtol=1e-12, atol=0.0)
+        ma, oa = block.space.weigh(many.modes), block.space.weigh(one.modes)
+        assert np.max(np.abs(ma @ ma.T - oa @ oa.T)) <= 1e-10
+        assert (many.right is None) == (not want_right)
+        if want_right:
+            resid = block.space.weigh(block.values - (many.modes * many.sigmas[None, :]) @ many.right.T)
+            assert float(np.sum(resid * resid)) <= eps_sq
+
+    def test_gramian_runs_once_per_panel(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        block = random_block(rng, 60, 5, rng.uniform(0.5, 2.0, 60))
+        monkeypatch.setattr(POD, "BATCH_BYTES", 8 * 60 * 5 // 4)
+        real, shapes = POD.gramian, []
+
+        def spy(b):
+            shapes.append(b.values.shape)
+            return real(b)
+
+        monkeypatch.setattr(POD, "gramian", spy)
+        pod(block, 0.5)
+        # four panels of 15 rows: the products add up to one 60-row Gramian
+        assert shapes == [(15, 5)] * 4
+
+    def test_one_panel_stack_is_the_stacked_array(self):
+        rng = np.random.default_rng(79)
+        weights = rng.uniform(0.5, 2.0, 40)
+        space = InnerProductSpace(40, weights)
+        children = [pod(random_block(rng, 40, 12, weights), 0.8) for _ in range(3)]
+        fresh = random_block(rng, 40, 5, weights)
+        stacked = np.hstack([ms.scaled() for ms in children] + [fresh.values])
+        parts = [(ms.modes, ms.sigmas) for ms in children] + [(fresh.values, None)]
+        lazy = SnapshotBlock._stack(space, parts)
+        assert lazy.count == stacked.shape[1] and lazy.values.nbytes == stacked.nbytes
+        assert np.array_equal(np.asarray(lazy.values), stacked)
+        ref = pod(SnapshotBlock(space, stacked), 0.3, want_right=True)
+        out = pod(lazy, 0.3, want_right=True)
+        assert np.array_equal(out.sigmas, ref.sigmas)
+        assert np.array_equal(out.modes, ref.modes)
+        assert np.array_equal(out.right, ref.right)
 
 
 class TestFinishModes:
