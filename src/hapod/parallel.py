@@ -50,17 +50,39 @@ def _pooled_spread(pool: ThreadPoolExecutor, helpers: int):
     pool tasks claim panels beside it.  It waits only for panels another
     thread has claimed, which that thread is already running, so no thread
     ever waits on a task that no free thread can start.  A helper that starts
-    after every panel is claimed returns at once.
+    after every panel is claimed returns at once.  The thread that finishes
+    the next panel due hands it, and any later ones already finished, to
+    `take` in panel order, one thread at a time; so only results that finish
+    out of order are held, about one per thread.
     """
 
-    def spread(fn, count):
-        results = [None] * count
+    def spread(fn, count, take=None):
+        done: dict[int, object] = {}  # finished, not yet handed to take
         failures: dict[int, Exception] = {}
-        claimed = finished = 0
+        claimed = finished = due = 0
+        handing = False
         lock = threading.Condition()
 
+        def hand_on():
+            nonlocal due, handing
+            while True:
+                with lock:
+                    if due not in done:
+                        handing = False
+                        lock.notify_all()
+                        return
+                    p, out = due, done.pop(due)
+                    due += 1
+                try:
+                    if take is not None:
+                        take(out)
+                except Exception as exc:
+                    with lock:
+                        failures[p] = exc
+                del out
+
         def work():
-            nonlocal claimed, finished
+            nonlocal claimed, finished, handing
             while True:
                 with lock:
                     if claimed == count:
@@ -68,23 +90,31 @@ def _pooled_spread(pool: ThreadPoolExecutor, helpers: int):
                     p = claimed
                     claimed += 1
                 try:
-                    results[p] = fn(p)
+                    out = fn(p)
                 except Exception as exc:
-                    failures[p] = exc
+                    with lock:
+                        failures[p] = exc
+                        finished += 1
+                        lock.notify_all()
+                    continue
                 with lock:
+                    done[p] = out
                     finished += 1
+                    mine = not handing and due in done
+                    handing = handing or mine
                     lock.notify_all()
+                del out
+                if mine:
+                    hand_on()
 
         for _ in range(min(helpers, count - 1)):
             pool.submit(work)
         work()
         with lock:
-            lock.wait_for(lambda: finished == count)
+            lock.wait_for(lambda: finished == count and not handing)
+            done.clear()  # after a failure, the panels past it are never handed on
         if failures:
             raise failures[min(failures)]
-        out = results[:]
-        results.clear()  # a late helper must not keep the panels alive
-        return out
 
     return spread
 

@@ -283,7 +283,9 @@ def truncation_rank(sigmas: np.ndarray, epsilon: float) -> int:
 def gramian(block: SnapshotBlock) -> np.ndarray:
     """The m x m matrix of pairwise snapshot inner products, explicitly symmetrized."""
     g = block.space.gram(block.values, block.values)
-    return 0.5 * (g + g.T)
+    g = g + g.T
+    g *= 0.5
+    return g
 
 
 def _fix_signs(modes: np.ndarray, right: np.ndarray | None):
@@ -378,22 +380,22 @@ def _row_panels(d: int, m: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _panel(block: SnapshotBlock, a: int, b: int) -> SnapshotBlock:
-    """Rows a:b of a block as a block of their own, in memory BLAS can take."""
+def _panel(block: SnapshotBlock, a: int, b: int, space: InnerProductSpace | None = None) -> SnapshotBlock:
+    """Rows a:b of a block, over ``space`` (theirs), in memory BLAS can take."""
     values = block.values[a:b]
     if not values.flags.aligned or not (values.flags.c_contiguous or values.flags.f_contiguous):
         # NumPy hands no unaligned operand to BLAS (an .hpd payload sits at
         # an odd offset behind its header), and rows of a column-major block
         # are in neither order: copy this panel, column by column
         values = np.array(values, order="F")
-    space = block.space
-    if b - a != space.dimension:
-        space = InnerProductSpace(b - a, None if space.weights is None else space.weights[a:b])
     return block._part(values, space)
 
 
-def _in_order(fn, count):
-    return [fn(p) for p in range(count)]
+def _in_order(fn, count, take=None):
+    for p in range(count):
+        out = fn(p)
+        if take is not None:
+            take(out)
 
 
 def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
@@ -417,10 +419,12 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
         Also return the right singular vectors (needed to track snapshot
         coefficients through a hierarchy).
     spread
-        ``spread(fn, count)`` returns ``[fn(0), ..., fn(count - 1)]``; it
-        runs the row panels of the Gramian route.  The default runs them in
-        order on the calling thread, the executor lets idle pool threads
-        take some.  The result does not depend on it.
+        ``spread(fn, count, take)`` runs ``fn(0), ..., fn(count - 1)``, the
+        row panels of the Gramian route, and hands each result to ``take``
+        (if given) in panel order as soon as it and those before it are
+        done.  The default runs them in order on the calling thread, the
+        executor lets idle pool threads take some.  The result does not
+        depend on it.
 
     Returns
     -------
@@ -449,20 +453,36 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
         return _from_spectrum(s * s, assemble, space, epsilon, m, want_right)
     if m <= d:
         # method of snapshots over fixed row panels: G = sum_p S_p^T W_p S_p
-        # in panel order, then the modes S_p psi / sigma one panel at a time
+        # added in panel order as the panels finish, then the modes
+        # S_p psi / sigma one panel at a time
         spread = spread or _in_order
         panels = _row_panels(d, m)
-        whole = _panel(block, 0, d) if len(panels) == 1 else None
+        if len(panels) == 1:
+            whole = _panel(block, 0, d)
 
-        def panel(p):
-            return whole if whole is not None else _panel(block, *panels[p])
+            def panel(p):
+                return whole
+        else:
+            # each panel's space (a slice of the weights) is built once and
+            # serves both passes
+            w = space.weights
+            spaces = [InnerProductSpace(b - a, None if w is None else w[a:b]) for a, b in panels]
 
-        parts = spread(lambda p: gramian(panel(p)), len(panels))
-        g = parts[0]
-        for part in parts[1:]:
-            g += part
-        del parts
+            def panel(p):
+                return _panel(block, *panels[p], spaces[p])
+
+        g = None
+
+        def add(part):
+            nonlocal g
+            if g is None:
+                g = part
+            else:
+                g += part
+
+        spread(lambda p: gramian(panel(p)), len(panels), add)
         lam, psi = _descending_eigh(g)
+        del g
 
         def assemble(rank, sig):
             modes = np.empty((d, rank))

@@ -1,6 +1,7 @@
 import importlib
 import sys
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -187,7 +188,9 @@ class TestPooledSpread:
                         hits[o][p] += 1
                         time.sleep(0)
                         return o * 1000 + p
-                    return spread(panel, 200)
+                    taken = []
+                    spread(panel, 200, taken.append)
+                    return taken
 
                 owners = [pool.submit(owner, o) for o in range(8)]
                 results = [f.result(timeout=60) for f in owners]
@@ -195,6 +198,35 @@ class TestPooledSpread:
             sys.setswitchinterval(interval)
         assert results == [[o * 1000 + p for p in range(200)] for o in range(8)]
         assert hits == [[1] * 200] * 8
+
+    def test_results_are_handed_on_in_order_and_dropped(self):
+        # panels of random length on four threads: take sees every result
+        # once, in panel order, one call at a time, and no finished result
+        # outlives its turn
+        rng = np.random.default_rng(5)
+        delays = rng.uniform(0.0, 2e-3, 120)
+        alive, taken, inside = weakref.WeakSet(), [], []
+
+        class Part:
+            def __init__(self, p):
+                self.p = p
+
+        def panel(p):
+            time.sleep(delays[p])
+            part = Part(p)
+            alive.add(part)
+            return part
+
+        def take(part):
+            inside.append(1)
+            assert len(inside) == 1
+            taken.append(part.p)
+            inside.pop()
+
+        with ThreadPoolExecutor(4) as pool:
+            _pooled_spread(pool, 3)(panel, 120, take)
+        assert taken == list(range(120))
+        assert len(alive) == 0
 
 
 class TestCriticalPathTime:

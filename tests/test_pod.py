@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -382,6 +383,26 @@ class TestRowPanels:
         pod(block, 0.5)
         # four panels of 15 rows: the products add up to one 60-row Gramian
         assert shapes == [(15, 5)] * 4
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_partial_gramians_are_summed_as_they_come(self, monkeypatch, weighted):
+        # 400 panels of 10 rows: holding every 100 x 100 partial Gramian
+        # would take 32 MB, ten times the 3.2 MB block; the running sum
+        # keeps the peak below the block's size
+        rng = np.random.default_rng(83)
+        dim, cols = 4000, 100
+        weights = rng.uniform(0.5, 2.0, dim) if weighted else None
+        block = spectrum_block(rng, dim, cols, np.exp(-0.5 * np.arange(8)), weights)
+        monkeypatch.setattr(POD, "BATCH_BYTES", 8 * cols * 10)
+        assert len(POD._row_panels(dim, cols)) == 400
+        tracemalloc.start()
+        try:
+            out = pod(block, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.count == 8
+        assert peak < block.values.nbytes
 
     def test_one_panel_stack_is_the_stacked_array(self):
         rng = np.random.default_rng(79)
