@@ -10,7 +10,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,24 +41,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything that determines a run's outputs; echoed into summary.txt."""
-
-    input: str
-    out: str
-    eps_star: float
-    omega: float
-    topology: str
-    blocks: int | None
-    block_size: int | None
-    depth: int | None
-    backend: str
-    workers: int
-    seed: int | None
-    track_right_factor: bool
 
 
 def _fmt(v) -> str:
@@ -145,24 +126,24 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------- run
 
 
-def _pick_topology(manifest: RunManifest, total_columns: int) -> RootedTree:
-    name = manifest.topology
+def _pick_topology(topology: str, total_columns: int, blocks: int | None = None,
+                   block_size: int | None = None, depth: int | None = None) -> RootedTree:
+    name = topology
     if name.startswith("file:"):
         path = name[len("file:") :]
         return parse_tree_text(Path(path).read_text())
-    depth = manifest.depth
     if ":" in name:
         name, _, suffix = name.partition(":")
         try:
             depth = int(suffix)
         except ValueError:
-            raise ValueError(f"bad topology depth suffix in {manifest.topology!r}") from None
-    if manifest.blocks is not None and manifest.block_size is not None:
+            raise ValueError(f"bad topology depth suffix in {topology!r}") from None
+    if blocks is not None and block_size is not None:
         raise ValueError("pass --blocks or --block-size, not both")
-    if manifest.blocks is not None:
-        k = manifest.blocks
-    elif manifest.block_size is not None:
-        k = max(1, math.ceil(total_columns / manifest.block_size))
+    if blocks is not None:
+        k = blocks
+    elif block_size is not None:
+        k = max(1, math.ceil(total_columns / block_size))
     else:
         raise ValueError("pick a leaf split with --blocks or --block-size")
     if k < 1:
@@ -173,7 +154,7 @@ def _pick_topology(manifest: RunManifest, total_columns: int) -> RootedTree:
         return build_chain(k)
     if name == "balanced":
         return build_balanced(k, depth if depth is not None else 2)
-    raise ValueError(f"unknown topology {manifest.topology!r} (star, chain, balanced[:depth], file:PATH)")
+    raise ValueError(f"unknown topology {topology!r} (star, chain, balanced[:depth], file:PATH)")
 
 
 def _leaf_ranges(tree: RootedTree, leaves: LeafAssignment) -> dict[int, tuple[int, int]]:
@@ -228,30 +209,16 @@ def _read_report(path):
 
 
 def cmd_run(args) -> int:
-    manifest = RunManifest(
-        input=args.input,
-        out=args.out,
-        eps_star=args.eps_star,
-        omega=args.omega,
-        topology=args.topology,
-        blocks=args.blocks,
-        block_size=args.block_size,
-        depth=args.depth,
-        backend=args.backend,
-        workers=args.workers,
-        seed=args.seed,
-        track_right_factor=args.track_right_factor,
-    )
-    block = hio.load_snapshots(manifest.input)
+    block = hio.load_snapshots(args.input)
     if block.count == 0:
-        raise ValueError(f"{manifest.input}: no snapshot columns")
-    tree = _pick_topology(manifest, block.count)
+        raise ValueError(f"{args.input}: no snapshot columns")
+    tree = _pick_topology(args.topology, block.count, args.blocks, args.block_size, args.depth)
     maps = derive_maps(tree)
-    leaves = distribute_columns(tree, block, block_size=manifest.block_size, maps=maps)
-    tol = assign_tolerances(tree, leaves, manifest.eps_star, manifest.omega)
-    backend = PodBackend(manifest.backend)
+    leaves = distribute_columns(tree, block, block_size=args.block_size, maps=maps)
+    tol = assign_tolerances(tree, leaves, args.eps_star, args.omega)
+    backend = PodBackend(args.backend)
 
-    outdir = Path(manifest.out)
+    outdir = Path(args.out)
     if outdir.exists() and any(outdir.iterdir()) and not args.force:
         raise FileExistsError(f"{outdir} exists and is not empty; pass --force to overwrite")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -259,8 +226,8 @@ def cmd_run(args) -> int:
     ranges = _leaf_ranges(tree, leaves)
     started = time.perf_counter()
     result, stats = run_parallel(
-        tree, leaves, tol, backend, manifest.workers,
-        track_right_factor=manifest.track_right_factor,
+        tree, leaves, tol, backend, args.workers,
+        track_right_factor=args.track_right_factor,
     )
     wall = time.perf_counter() - started
 
@@ -271,22 +238,21 @@ def cmd_run(args) -> int:
     if result.right_factor is not None:
         hio.write_matrix(outdir / RIGHT_FILE, result.right_factor)
 
-    mean_error = actual_mean_error(block, result.modes, manifest.workers)
+    mean_error = actual_mean_error(block, result.modes, args.workers)
     summary = [
-        ("input", manifest.input),
+        ("input", args.input),
         ("snapshot_count", block.count),
         ("dimension", block.space.dimension),
         ("weighted", block.space.weights is not None),
-        ("topology", manifest.topology),
+        ("topology", args.topology),
         ("depth", maps.depth),
         ("blocks", len(maps.leaf_order)),
-        ("block_size", manifest.block_size),
-        ("eps_star", float(manifest.eps_star)),
-        ("omega", float(manifest.omega)),
-        ("backend", manifest.backend),
-        ("workers", manifest.workers),
-        ("seed", manifest.seed),
-        ("track_right_factor", manifest.track_right_factor),
+        ("block_size", args.block_size),
+        ("eps_star", float(args.eps_star)),
+        ("omega", float(args.omega)),
+        ("backend", args.backend),
+        ("workers", args.workers),
+        ("track_right_factor", args.track_right_factor),
         ("apriori_error_bound", result.apriori_error_bound),
         ("mean_error", mean_error),
         ("mode_count", result.mode_count),
@@ -299,7 +265,7 @@ def cmd_run(args) -> int:
     _write_kv(outdir / SUMMARY_FILE, summary)
     print(
         f"{result.mode_count} modes for {block.count} snapshots; "
-        f"mean error {mean_error:.6g} <= target {manifest.eps_star**2:.6g}; "
+        f"mean error {mean_error:.6g} <= target {args.eps_star**2:.6g}; "
         f"a-priori bound {result.apriori_error_bound:.6g}; outputs in {outdir}"
     )
     return EXIT_OK
@@ -444,16 +410,8 @@ def cmd_bench(args) -> int:
         rows.append(
             f"{size}\tpod\t1\t{size}\t{repr(flat_time)}\t{repr(flat_time)}\t{flat.count}"
         )
-        blocks = max(1, math.ceil(size / args.block_size))
         for name in topologies:
-            if name == "star":
-                tree = build_star(blocks)
-            elif name == "chain":
-                tree = build_chain(blocks)
-            elif name == "balanced":
-                tree = build_balanced(blocks, args.depth)
-            else:
-                raise ValueError(f"unknown topology {name!r} in --topologies")
+            tree = _pick_topology(name, size, block_size=args.block_size, depth=args.depth)
             maps = derive_maps(tree)
             leaves = distribute_columns(tree, data, block_size=args.block_size, maps=maps)
             tol = assign_tolerances(tree, leaves, args.eps_star, args.omega)
@@ -515,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--depth", type=int, default=None)
     run.add_argument("--backend", choices=("gram", "svd"), default="gram")
     run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--seed", type=int, default=None)
     run.add_argument("--track-right-factor", action="store_true")
     run.add_argument("--force", action="store_true")
     run.set_defaults(func=cmd_run)

@@ -65,9 +65,6 @@ class ToleranceAssignment:
         if self.target is not None and self.target < 0.0:
             raise ValueError("target must be nonnegative")
 
-    def for_node(self, node: int) -> float:
-        return self.epsilons[node]
-
 
 @dataclass(frozen=True, eq=False)
 class LeafAssignment:
@@ -385,13 +382,10 @@ class IncrementalSession:
         eps = _tolerance(self._seen, self.target, self.omega, self.planned, node == self.tree.root)
         prior = self._current
         started = time.perf_counter()
-        if prior is not None and prior.orthonormal:
-            merged = block_gramian_pod(prior, fresh, eps, self.backend)
+        if prior is None:
+            merged = pod(fresh, eps, self.backend)
         else:
-            # the first merge: nothing carried yet, or the raw bottom leaf
-            block = fresh if prior is None else SnapshotBlock._stack(
-                fresh.space, [(prior.modes, prior.sigmas), (fresh.values, None)])
-            merged = pod(block, eps, self.backend)
+            merged = block_gramian_pod(prior, fresh, eps, self.backend)
         wall = time.perf_counter() - started
         input_count = fresh.count + (prior.count if prior is not None else 0)
         self._current = merged

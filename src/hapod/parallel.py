@@ -3,22 +3,20 @@
 A node becomes ready when its last child finishes; among ready nodes the one
 first in post-order starts first, so a single worker walks the tree in
 post-order.  A node's own row panels (see `hapod.pod.pod`) run on the same
-pool: idle threads take some while the node's thread takes the rest.  Workers
-only change wall time: node inputs are immutable, a node's panels are fixed by
-its shape and added in panel order, so sigmas come out bit-for-bit equal for
-any worker count.
+pool: idle threads take some while the node's thread takes the rest, and the
+node's thread alone adds their results up, in panel order.  Workers only
+change wall time: node inputs are immutable and a node's panels are fixed by
+its shape, so sigmas come out bit-for-bit equal for any worker count.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
-import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from .hierarchy import HapodResult, LeafAssignment, NodeReport, ToleranceAssignment, error_bound, evaluate_node
-from .pod import PodBackend
+from .pod import PodBackend, _pooled_spread
 from .tree import RootedTree, derive_maps
 
 __all__ = ["ExecStats", "run_parallel", "critical_path_time"]
@@ -26,97 +24,18 @@ __all__ = ["ExecStats", "run_parallel", "critical_path_time"]
 
 @dataclass(frozen=True, eq=False)
 class ExecStats:
-    """Timings of one run_parallel call.
+    """What one run_parallel call measured beyond its result.
 
-    wave_times[l-1] is the span of level l, from the start of its first node
-    to the end of its last; levels overlap, so the spans may too.
-    critical_path_time is the longest root-to-leaf sum of node wall times.
-    peak_resident_modes is the largest number of mode columns that node
-    outputs held at once in this run, counted when each node finishes and
-    before its children's outputs are released.
+    critical_path_time is the longest root-to-leaf sum of node wall times,
+    total_node_time the sum of all node wall times (both from the node
+    reports).  peak_resident_modes is the largest number of mode columns
+    that node outputs held at once in this run, counted when each node
+    finishes and before its children's outputs are released.
     """
 
-    wave_times: tuple[float, ...]
-    node_times: dict[int, float]
     critical_path_time: float
     total_node_time: float
     peak_resident_modes: int
-
-
-def _pooled_spread(pool: ThreadPoolExecutor, helpers: int):
-    """A `pod` spread whose panels idle pool threads may take.
-
-    The calling thread claims panels in order and runs them; up to `helpers`
-    pool tasks claim panels beside it.  It waits only for panels another
-    thread has claimed, which that thread is already running, so no thread
-    ever waits on a task that no free thread can start.  A helper that starts
-    after every panel is claimed returns at once.  The thread that finishes
-    the next panel due hands it, and any later ones already finished, to
-    `take` in panel order, one thread at a time; so only results that finish
-    out of order are held, about one per thread.
-    """
-
-    def spread(fn, count, take=None):
-        done: dict[int, object] = {}  # finished, not yet handed to take
-        failures: dict[int, Exception] = {}
-        claimed = finished = due = 0
-        handing = False
-        lock = threading.Condition()
-
-        def hand_on():
-            nonlocal due, handing
-            while True:
-                with lock:
-                    if due not in done:
-                        handing = False
-                        lock.notify_all()
-                        return
-                    p, out = due, done.pop(due)
-                    due += 1
-                try:
-                    if take is not None:
-                        take(out)
-                except Exception as exc:
-                    with lock:
-                        failures[p] = exc
-                del out
-
-        def work():
-            nonlocal claimed, finished, handing
-            while True:
-                with lock:
-                    if claimed == count:
-                        return
-                    p = claimed
-                    claimed += 1
-                try:
-                    out = fn(p)
-                except Exception as exc:
-                    with lock:
-                        failures[p] = exc
-                        finished += 1
-                        lock.notify_all()
-                    continue
-                with lock:
-                    done[p] = out
-                    finished += 1
-                    mine = not handing and due in done
-                    handing = handing or mine
-                    lock.notify_all()
-                del out
-                if mine:
-                    hand_on()
-
-        for _ in range(min(helpers, count - 1)):
-            pool.submit(work)
-        work()
-        with lock:
-            lock.wait_for(lambda: finished == count and not handing)
-            done.clear()  # after a failure, the panels past it are never handed on
-        if failures:
-            raise failures[min(failures)]
-
-    return spread
 
 
 def critical_path_time(tree: RootedTree, reports) -> float:
@@ -146,12 +65,12 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
     ready nodes in post-order.  The dense kernels drop the interpreter lock,
     so nodes really do overlap.  The row panels of a node's POD run on the
     same pool of worker_count threads: the node's thread runs them in order
-    while idle threads take panels it has not reached, and the panels are
-    added in panel order whoever ran them.  No thread waits for a panel that
-    nobody has started, and there is no second pool.  Child outputs are
-    released when their parent finishes.  If a node raises, the running
-    nodes finish, nothing new starts, and the exception of the lowest failing
-    node id propagates with a note naming that node.
+    while idle threads take panels it has not reached, and the node's thread
+    adds the results in panel order whoever ran them.  No thread waits for a
+    panel that nobody has started, and there is no second pool.  Child
+    outputs are released when their parent finishes.  If a node raises, the
+    running nodes finish, nothing new starts, and the exception of the
+    lowest failing node id propagates with a note naming that node.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be at least 1")
@@ -168,36 +87,29 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
     ready = sorted((rank[v], v) for v in maps.leaves)
     waiting = [len(kids) for kids in tree.children]
 
-    def timed(v, child_results):
-        started = time.perf_counter()
-        out = evaluate_node(tree, maps, v, tol, backend, leaves, child_results, track_right_factor,
-                            spread)
-        return started, time.perf_counter(), out
-
     resident = peak = 0
     live: dict[int, tuple] = {}
     reports: dict[int, NodeReport] = {}
-    spans: dict[int, tuple[float, float]] = {}
     failures: dict[int, Exception] = {}
     running: dict = {}
     with ThreadPoolExecutor(max_workers=worker_count) as pool:
-        spread = _pooled_spread(pool, worker_count - 1) if worker_count > 1 else None
+        spread = _pooled_spread(pool, worker_count - 1)
         while running or (ready and not failures):
             while ready and not failures and len(running) < worker_count:
                 _, v = heapq.heappop(ready)
                 kids = [live[c] for c in tree.children[v]]
-                running[pool.submit(timed, v, kids)] = v
+                running[pool.submit(evaluate_node, tree, maps, v, tol, backend, leaves, kids,
+                                    track_right_factor, spread)] = v
             done, _ = wait(running, return_when=FIRST_COMPLETED)
             for fut in done:
                 v = running.pop(fut)
                 try:
-                    started, ended, (out, lhat, rep) = fut.result()
+                    out, lhat, rep = fut.result()
                 except Exception as exc:  # let the running nodes finish
                     failures[v] = exc
                     continue
                 live[v] = (out, lhat)
                 reports[v] = rep
-                spans[v] = (started, ended)
                 resident += out.count
                 peak = max(peak, resident)
                 for c in tree.children[v]:
@@ -212,10 +124,6 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
         failures[node].add_note(f"node {node} failed")
         raise failures[node]
 
-    level_spans: dict[int, tuple[float, float]] = {}
-    for v, (a, b) in spans.items():
-        lo, hi = level_spans.get(maps.level[v], (a, b))
-        level_spans[maps.level[v]] = (min(lo, a), max(hi, b))
     final, lhat_root = live[tree.root]
     result = HapodResult(
         modes=final,
@@ -226,8 +134,6 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
     )
     ordered = result.reports
     stats = ExecStats(
-        wave_times=tuple(b - a for _, (a, b) in sorted(level_spans.items())),
-        node_times={r.node: r.wall_time for r in ordered},
         critical_path_time=critical_path_time(tree, ordered),
         total_node_time=float(sum(r.wall_time for r in ordered)),
         peak_resident_modes=peak,

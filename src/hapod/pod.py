@@ -13,10 +13,12 @@ The Gramian route of a tall block works on fixed row panels of about
 `BATCH_BYTES` each: the partial Gramians S_p^T W_p S_p are added in panel
 order, one eigendecomposition follows, and the modes S_p psi / sigma are
 assembled a panel at a time.  The panels depend on the block's shape only,
-so the result does not depend on which threads run them; a block of one
-panel takes exactly the unpanelled route.  A block may be a stack of
-column-scaled parts (`SnapshotBlock._stack`), whose rows are written only
-when a panel asks for them, so the stacked input is never held whole.
+so the result does not depend on which threads run them: other threads may
+run panels, but the calling thread alone adds their partial Gramians, in
+panel order (`_pooled_spread`).  A block of one panel takes exactly the
+unpanelled route.  A block may be a stack of column-scaled parts
+(`SnapshotBlock._stack`), whose rows are written only when a panel asks for
+them, so the stacked input is never held whole.
 
 Everything works in R^d equipped with an optional strictly positive diagonal
 weight vector; without weights the inner product is the Euclidean one.
@@ -24,6 +26,7 @@ weight vector; without weights the inner product is the Euclidean one.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,23 +246,19 @@ class PodBackend:
     the m x m Gramian S^T W S when m <= d, otherwise the d x d correlation
     matrix A A^T with A = W^(1/2) S.  "svd" is a direct SVD of the weighted
     snapshot matrix, kept as the cross-check.  On the gram kind, eigenvalues
-    below ``gram_eig_cutoff_factor * lam_max * m`` are treated as numerical
+    below ``DEFAULT_GRAM_CUTOFF * lam_max * m`` are treated as numerical
     zeros and dropped before any truncation decision.  On the svd kind the
     factor applies to the singular values themselves: sigma below
-    ``gram_eig_cutoff_factor * sigma_max * m`` is dropped.  That drops far
+    ``DEFAULT_GRAM_CUTOFF * sigma_max * m`` is dropped.  That drops far
     less energy than the Gramian floor, so the svd kind keeps the tail bound
     at tolerances too small for the gram kind to resolve.
     """
 
     kind: str = "gram"
-    gram_eig_cutoff_factor: float = DEFAULT_GRAM_CUTOFF
 
     def __post_init__(self):
         if self.kind not in ("gram", "svd"):
             raise ValueError(f"unknown backend kind {self.kind!r}, expected 'gram' or 'svd'")
-        f = self.gram_eig_cutoff_factor
-        if not (0.0 < f < 1.0):
-            raise ValueError(f"gram_eig_cutoff_factor must lie in (0, 1), got {f}")
 
 
 def truncation_rank(sigmas: np.ndarray, epsilon: float) -> int:
@@ -391,11 +390,69 @@ def _panel(block: SnapshotBlock, a: int, b: int, space: InnerProductSpace | None
     return block._part(values, space)
 
 
-def _in_order(fn, count, take=None):
-    for p in range(count):
-        out = fn(p)
-        if take is not None:
-            take(out)
+def _pooled_spread(pool=None, helpers: int = 0):
+    """A `pod` spread run by the calling thread and up to `helpers` tasks on `pool`.
+
+    Helpers only claim panels in order, run them and park each result or
+    exception.  The calling thread claims and runs panels too, and it alone
+    hands the results to `take`, in panel order, dropping each once handed;
+    it waits only for a panel another thread has claimed, which that thread
+    is already running, so no thread ever waits on a task that no free
+    thread can start.  A helper that starts after every panel is claimed
+    returns at once.  On a failure nothing new is claimed, and the exception
+    of the first failing panel is raised once every claimed panel has
+    finished.  Without helpers the panels run in order on the calling thread.
+    """
+
+    def spread(fn, count, take=None):
+        parked: dict[int, tuple] = {}  # finished panels not yet handed on: (result, exception)
+        claimed = 0
+        end = count  # panels from here on are not claimed
+        lock = threading.Condition()
+
+        def run_next(due=None) -> bool:
+            """Claim and run the next panel, unless none is left or `due` is parked."""
+            nonlocal claimed
+            with lock:
+                if claimed >= end or due in parked:
+                    return False
+                p = claimed
+                claimed += 1
+            try:
+                out = fn(p), None
+            except Exception as exc:
+                out = None, exc
+            with lock:
+                parked[p] = out
+                lock.notify_all()
+            return True
+
+        def work():
+            while run_next():
+                pass
+
+        for _ in range(min(helpers, count - 1)):
+            pool.submit(work)
+        for due in range(count):
+            while run_next(due):
+                pass
+            with lock:
+                lock.wait_for(lambda: due in parked)
+                out, exc = parked.pop(due)
+            if exc is None and take is not None:
+                try:
+                    take(out)
+                except Exception as failure:
+                    exc = failure
+            del out
+            if exc is not None:
+                with lock:
+                    end = claimed
+                    lock.wait_for(lambda: len(parked) == claimed - due - 1)
+                    parked.clear()
+                raise exc
+
+    return spread
 
 
 def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
@@ -421,10 +478,10 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     spread
         ``spread(fn, count, take)`` runs ``fn(0), ..., fn(count - 1)``, the
         row panels of the Gramian route, and hands each result to ``take``
-        (if given) in panel order as soon as it and those before it are
-        done.  The default runs them in order on the calling thread, the
-        executor lets idle pool threads take some.  The result does not
-        depend on it.
+        (if given) on the calling thread, in panel order, as soon as it and
+        those before it are done; see `_pooled_spread`.  The default runs
+        them in order on the calling thread, the executor lets idle pool
+        threads take some.  The result does not depend on it.
 
     Returns
     -------
@@ -441,7 +498,7 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
         return _empty_mode_set(block.space, want_right)
     space = block.space
     d = space.dimension
-    factor = backend.gram_eig_cutoff_factor * m
+    factor = DEFAULT_GRAM_CUTOFF * m
     if backend.kind == "svd":
         u, s, vt = scipy.linalg.svd(space.weigh(_panel(block, 0, d).values), full_matrices=False)
         s = _above_floor(s, factor)
@@ -455,7 +512,7 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
         # method of snapshots over fixed row panels: G = sum_p S_p^T W_p S_p
         # added in panel order as the panels finish, then the modes
         # S_p psi / sigma one panel at a time
-        spread = spread or _in_order
+        spread = spread or _pooled_spread()
         panels = _row_panels(d, m)
         if len(panels) == 1:
             whole = _panel(block, 0, d)
@@ -513,11 +570,10 @@ def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
 
     The merge step of single-pass incremental compression: the scaled prior
     modes and the fresh columns are stacked and decomposed by `pod` with the
-    given backend, the same step a chain run's merge node performs.  The
-    stack is written a row panel at a time, never whole.
+    given backend, the same step a chain run's merge node performs.  A
+    passthrough prior (raw snapshots, unit sigmas) stacks as its raw
+    columns.  The stack is written a row panel at a time, never whole.
     """
-    if not prior.orthonormal:
-        raise ValueError("prior modes must be orthonormal (passthrough sets cannot be extended this way)")
     if not prior.space.same_as(fresh.space):
         raise ValueError("prior modes and fresh block live in different spaces")
     if epsilon < 0.0:

@@ -493,12 +493,6 @@ class TestBlockGramianPod:
         assert out.count == prior.count + 2
         assert np.allclose(out.modes[:, :prior.count], prior.scaled())
 
-    def test_rejects_passthrough_prior(self):
-        space = euclid(3)
-        raw = pod(SnapshotBlock(space, np.eye(3)), 0.0)
-        with pytest.raises(ValueError, match="orthonormal"):
-            block_gramian_pod(raw, SnapshotBlock(space, np.eye(3)), 0.5)
-
     def test_rejects_space_mismatch(self):
         prior = pod(SnapshotBlock(euclid(3), np.eye(3)), 0.1)
         other = SnapshotBlock(InnerProductSpace(3, np.array([1.0, 2.0, 3.0])), np.eye(3))
@@ -541,7 +535,3 @@ class TestValidation:
     def test_backend_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             PodBackend("qr")
-
-    def test_backend_rejects_bad_cutoff(self):
-        with pytest.raises(ValueError):
-            PodBackend("gram", gram_eig_cutoff_factor=0.0)
