@@ -6,7 +6,8 @@ compare three ways of building the basis:
 
   direct   one POD of the whole snapshot matrix (the reference)
   chain    incremental session, blocks pushed one at a time
-  tree     balanced tree over the same blocks, executed wave-parallel
+  tree     balanced tree over the same blocks, run on --workers threads,
+           each node starting as soon as its children finish
 
 Prints one table row per omega with mode counts, peak intermediate basis
 size, achieved mean error, and wall time.  The achieved error column is

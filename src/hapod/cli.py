@@ -7,6 +7,8 @@ failed, 3 the numerics fell over (blow-up, non-finite data).
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import math
 import sys
 import time
@@ -17,7 +19,7 @@ import scipy.linalg
 
 from . import io as hio
 from .datagen import BurgersConfig, GenerationError, burgers_snapshots, synthetic_decay
-from .hierarchy import LeafAssignment, actual_mean_error, assign_tolerances, distribute_columns
+from .hierarchy import NodeReport, actual_mean_error, assign_tolerances, distribute_columns
 from .parallel import run_parallel
 from .pod import InnerProductSpace, ModeSet, PodBackend, pod, truncation_rank
 from .tree import RootedTree, build_balanced, build_chain, build_star, derive_maps, format_tree_text, parse_tree_text
@@ -99,12 +101,7 @@ def cmd_gen(args) -> int:
         block, stats = burgers_snapshots(cfg, with_stats=True)
         meta = [
             ("kind", "burgers"),
-            ("grid_size", cfg.grid_size),
-            ("step_count", cfg.step_count),
-            ("time_step", cfg.time_step),
-            ("spark_probability", cfg.spark_probability),
-            ("spark_max", cfg.spark_max),
-            ("seed", cfg.seed),
+            *dataclasses.asdict(cfg).items(),
             ("spark_count", stats["spark_count"]),
             ("spark_steps", ",".join(str(int(s)) for s in stats["spark_steps"])),
         ]
@@ -157,55 +154,18 @@ def _pick_topology(topology: str, total_columns: int, blocks: int | None = None,
     raise ValueError(f"unknown topology {topology!r} (star, chain, balanced[:depth], file:PATH)")
 
 
-def _leaf_ranges(tree: RootedTree, leaves: LeafAssignment) -> dict[int, tuple[int, int]]:
-    order = derive_maps(tree).leaf_order
-    ranges = {}
-    at = 0
-    for leaf in order:
-        c = leaves.blocks[leaf].count
-        ranges[leaf] = (at, at + c)
-        at += c
-    return ranges
-
-
 def _write_report(path, reports, ranges) -> None:
-    cols = [
-        "node", "level", "is_leaf", "input_count", "subordinate_count",
-        "local_epsilon", "output_mode_count", "discarded_tail_energy",
-        "wall_time", "col_start", "col_end",
-    ]
+    names = [f.name for f in dataclasses.fields(NodeReport)] + ["col_start", "col_end"]
     with open(path, "w") as fh:
-        fh.write("\t".join(cols) + "\n")
+        fh.write("\t".join(names) + "\n")
         for r in reports:
-            span = ranges.get(r.node)
-            fh.write(
-                "\t".join(
-                    [
-                        str(r.node),
-                        str(r.level),
-                        "1" if r.is_leaf else "0",
-                        str(r.input_count),
-                        str(r.subordinate_count),
-                        repr(float(r.local_epsilon)),
-                        str(r.output_mode_count),
-                        repr(float(r.discarded_tail_energy)),
-                        repr(float(r.wall_time)),
-                        str(span[0]) if span else "",
-                        str(span[1]) if span else "",
-                    ]
-                )
-                + "\n"
-            )
+            row = dataclasses.astuple(r) + ranges.get(r.node, (None, None))
+            fh.write("\t".join(_fmt(v) for v in row) + "\n")
 
 
 def _read_report(path):
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            rows.append(dict(zip(header, parts)))
-    return rows
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh, delimiter="\t"))
 
 
 def cmd_run(args) -> int:
@@ -223,7 +183,10 @@ def cmd_run(args) -> int:
         raise FileExistsError(f"{outdir} exists and is not empty; pass --force to overwrite")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    ranges = _leaf_ranges(tree, leaves)
+    ranges, at = {}, 0
+    for leaf in maps.leaf_order:
+        ranges[leaf] = (at, at + leaves.blocks[leaf].count)
+        at = ranges[leaf][1]
     started = time.perf_counter()
     result, stats = run_parallel(
         tree, leaves, tol, backend, args.workers,
@@ -317,8 +280,7 @@ def cmd_verify(args) -> int:
     if (mode_weights is None) != (space.weights is None) or (
         mode_weights is not None and not np.array_equal(mode_weights, space.weights)
     ):
-        print("check weights: FAIL (modes file and input disagree on inner product)")
-        return EXIT_VERIFY
+        return _report_checks([("weights", False, "modes file and input disagree on inner product")])
     sigmas = hio.read_floats(results / SIGMAS_FILE)
     tree = parse_tree_text((results / TREE_FILE).read_text())
     report = _read_report(results / REPORT_FILE)
@@ -344,10 +306,7 @@ def cmd_verify(args) -> int:
         drift = 0.0 if finite_modes else float("inf")
     checks.append(("modes-orthonormal", drift <= 1e-8, f"max Gramian drift {drift:.3e}"))
     if not finite_modes:
-        for name, ok, detail in checks:
-            print(f"check {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-        print("verification failed: modes-orthonormal (non-finite modes)", file=sys.stderr)
-        return EXIT_VERIFY
+        return _report_checks(checks)
 
     modes = ModeSet(space, sigmas if ok_sig else np.ones(mode_values.shape[1]), mode_values)
     mean_err = actual_mean_error(snapshots, modes)
@@ -381,7 +340,11 @@ def cmd_verify(args) -> int:
             worst = f"node {node}: {r['output_mode_count']} modes exceed flat-POD count {bound}"
             break
     checks.append(("node-mode-bounds", ok_nodes, worst or "every non-root node within its flat-POD count"))
+    return _report_checks(checks)
 
+
+def _report_checks(checks) -> int:
+    """Print every (name, ok, detail) check; exit code 2 if any failed."""
     failed = [name for name, ok, _ in checks if not ok]
     for name, ok, detail in checks:
         print(f"check {name}: {'PASS' if ok else 'FAIL'} ({detail})")

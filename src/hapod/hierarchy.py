@@ -45,25 +45,15 @@ class SessionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ToleranceAssignment:
-    """One nonnegative truncation tolerance per node id.
-
-    omega and target are metadata recording how the values were derived; they
-    stay None for hand-built assignments.
-    """
+    """One nonnegative truncation tolerance per node id."""
 
     epsilons: tuple[float, ...]
-    omega: float | None = None
-    target: float | None = None
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
         if any(not math.isfinite(e) or e < 0.0 for e in eps):
             raise ValueError("tolerances must be finite and nonnegative")
         object.__setattr__(self, "epsilons", eps)
-        if self.omega is not None and not (0.0 <= self.omega <= 1.0):
-            raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
-        if self.target is not None and self.target < 0.0:
-            raise ValueError("target must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +181,7 @@ def _tolerance(count: int, target: float, omega: float, depth: int, is_root: boo
 
 
 def assign_tolerances(tree: RootedTree, leaf_counts, target: float, omega: float = 0.75,
-                      zero_leaf_tolerance: bool = False, maps: TreeMaps | None = None) -> ToleranceAssignment:
+                      zero_leaf_tolerance: bool = False) -> ToleranceAssignment:
     """Per-node tolerances that certify a mean squared projection error <= target**2.
 
     The root receives sqrt(total) * omega * target; every other node alpha
@@ -206,9 +196,7 @@ def assign_tolerances(tree: RootedTree, leaf_counts, target: float, omega: float
     if isinstance(leaf_counts, LeafAssignment):
         leaf_counts = leaf_counts.counts()
     _check_rule(target, omega)
-    maps = maps if maps is not None else derive_maps(tree, leaf_counts)
-    if maps.subordinate_leaf_counts is None:
-        maps = derive_maps(tree, leaf_counts)
+    maps = derive_maps(tree, leaf_counts)
     if maps.subordinate_leaf_counts[tree.root] == 0:
         raise ValueError("no snapshots anywhere in the tree")
     if maps.depth < 2 and omega < 1.0:
@@ -220,7 +208,7 @@ def assign_tolerances(tree: RootedTree, leaf_counts, target: float, omega: float
         else _tolerance(maps.subordinate_leaf_counts[v], target, omega, maps.depth, v == tree.root)
         for v in range(tree.node_count)
     ]
-    return ToleranceAssignment(tuple(eps), omega=omega, target=target)
+    return ToleranceAssignment(tuple(eps))
 
 
 def error_bound(tree: RootedTree, tol: ToleranceAssignment, node: int | None = None,

@@ -9,16 +9,20 @@ d x d correlation matrix for a wider block; both have the same nonzero
 spectrum, and rank is at most min(d, m).  The other route is a direct SVD of
 the weighted snapshot matrix, which does not square the condition number.
 
-The Gramian route of a tall block works on fixed row panels of about
-`BATCH_BYTES` each: the partial Gramians S_p^T W_p S_p are added in panel
-order, one eigendecomposition follows, and the modes S_p psi / sigma are
-assembled a panel at a time.  The panels depend on the block's shape only,
-so the result does not depend on which threads run them: other threads may
-run panels, but the calling thread alone adds their partial Gramians, in
-panel order (`_pooled_spread`).  A block of one panel takes exactly the
-unpanelled route.  A block may be a stack of column-scaled parts
-(`SnapshotBlock._stack`), whose rows are written only when a panel asks for
-them, so the stacked input is never held whole.
+The Gramian route is the method of snapshots on a block X: the block itself
+when it is tall, the transpose of its weighted values when it is wide, whose
+Gramian is the correlation matrix and whose left and right vectors swap
+places.  X is split into fixed row panels of about `BATCH_BYTES` each, so a
+wide block is split into column groups: the partial Gramians X_p^T W_p X_p
+are added in panel order, one eigendecomposition follows, and the products
+X_p psi / sigma are assembled a panel at a time.  The panels depend on the
+block's shape only, so the result does not depend on which threads run
+them: other threads may run panels, but the calling thread alone adds their
+partial Gramians, in panel order (`_pooled_spread`).  A block of one panel
+takes exactly the unpanelled route.  A block may be a stack of column-scaled
+parts (`SnapshotBlock._stack`), whose rows are written only when a panel of
+a tall block asks for them, so the stacked input of a tall node is never
+held whole.
 
 Everything works in R^d equipped with an optional strictly positive diagonal
 weight vector; without weights the inner product is the Euclidean one.
@@ -48,8 +52,8 @@ __all__ = [
 #: Gramian eigenvalues below ``factor * lam_max * m`` count as numerical zeros.
 DEFAULT_GRAM_CUTOFF = 4.0 * float(np.finfo(np.float64).eps)
 
-#: Bytes per piece of a data pass: the row panels of a tall Gramian node and
-#: the column batches of the mean-error pass.
+#: Bytes per piece of a data pass: the row panels of a Gramian node (column
+#: groups of a wide one) and the column batches of the mean-error pass.
 BATCH_BYTES = 2**23
 
 
@@ -233,9 +237,6 @@ class ModeSet:
     def scaled(self) -> np.ndarray:
         """Columns sigma_n * phi_n, the snapshots fed to the parent node."""
         return self.modes * self.sigmas[None, :]
-
-    def as_block(self) -> SnapshotBlock:
-        return SnapshotBlock(self.space, self.scaled())
 
 
 @dataclass(frozen=True)
@@ -470,16 +471,18 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
         ``orthonormal=False``, no decomposition happens.
     backend
         Eigendecomposition of the smaller squared matrix ("gram", default:
-        the Gramian for m <= d columns, the correlation matrix beyond) or
-        direct SVD ("svd").
+        the Gramian for m <= d columns, the correlation matrix beyond, each
+        formed over row panels, of the block or of its transpose) or direct
+        SVD ("svd").
     want_right
         Also return the right singular vectors (needed to track snapshot
         coefficients through a hierarchy).
     spread
         ``spread(fn, count, take)`` runs ``fn(0), ..., fn(count - 1)``, the
-        row panels of the Gramian route, and hands each result to ``take``
-        (if given) on the calling thread, in panel order, as soon as it and
-        those before it are done; see `_pooled_spread`.  The default runs
+        row panels of the Gramian route (column groups of a wide block), and
+        hands each result to ``take`` (if given) on the calling thread, in
+        panel order, as soon as it and those before it are done; see
+        `_pooled_spread`.  The default runs
         them in order on the calling thread, the executor lets idle pool
         threads take some.  The result does not depend on it.
 
@@ -509,74 +512,77 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
 
         return _from_spectrum(s * s, assemble, space, epsilon, m, want_right)
     if m <= d:
-        # method of snapshots over fixed row panels: G = sum_p S_p^T W_p S_p
-        # added in panel order as the panels finish, then the modes
-        # S_p psi / sigma one panel at a time
-        spread = spread or _pooled_spread()
-        panels = _row_panels(d, m)
-        if len(panels) == 1:
-            whole = _panel(block, 0, d)
-
-            def panel(p):
-                return whole
-        else:
-            # each panel's space (a slice of the weights) is built once and
-            # serves both passes
-            w = space.weights
-            spaces = [InnerProductSpace(b - a, None if w is None else w[a:b]) for a, b in panels]
-
-            def panel(p):
-                return _panel(block, *panels[p], spaces[p])
-
-        g = None
-
-        def add(part):
-            nonlocal g
-            if g is None:
-                g = part
-            else:
-                g += part
-
-        spread(lambda p: gramian(panel(p)), len(panels), add)
-        lam, psi = _descending_eigh(g)
-        del g
-
-        def assemble(rank, sig):
-            modes = np.empty((d, rank))
-
-            def rows(p):
-                a, b = panels[p]
-                np.divide(panel(p).values @ psi[:, :rank], sig[None, :], out=modes[a:b])
-
-            spread(rows, len(panels))
-            return modes, psi[:, :rank] if want_right else None
+        x = block
     else:
-        # wide block: eigenvectors U of A A^T are the weighted modes, and the
-        # right vectors are A^T U / sigma; eigh reads one triangle only, so
-        # A A^T needs no symmetrizing
-        a = space.weigh(_panel(block, 0, d).values)
-        lam, u = _descending_eigh(a @ a.T)
+        # a wide block squares its transpose X = (W^(1/2) S)^T, a Euclidean
+        # m x d block: the Gramian of X is the correlation matrix, its
+        # eigenvectors unweighed are the modes, and X psi / sigma are the
+        # right vectors
+        x = block._part(space.weigh(_panel(block, 0, d).values).T, InnerProductSpace(m))
+    # method of snapshots over fixed row panels of X: G = sum_p X_p^T W_p X_p
+    # added in panel order as the panels finish, then X_p psi / sigma one
+    # panel at a time
+    spread = spread or _pooled_spread()
+    rows, cols = x.values.shape
+    panels = _row_panels(rows, cols)
+    if len(panels) == 1:
+        whole = _panel(x, 0, rows)
 
-        def assemble(rank, sig):
-            right = (a.T @ u[:, :rank]) / sig[None, :] if want_right else None
-            return space.unweigh(u[:, :rank]), right
+        def panel(p):
+            return whole
+    else:
+        # each panel's space (a slice of the weights) is built once and
+        # serves both passes
+        w = x.space.weights
+        spaces = [InnerProductSpace(b - a, None if w is None else w[a:b]) for a, b in panels]
+
+        def panel(p):
+            return _panel(x, *panels[p], spaces[p])
+
+    g = None
+
+    def add(part):
+        nonlocal g
+        if g is None:
+            g = part
+        else:
+            g += part
+
+    spread(lambda p: gramian(panel(p)), len(panels), add)
+    lam, psi = _descending_eigh(g)
+    del g
+
+    def assemble(rank, sig):
+        def product():
+            out = np.empty((rows, rank))
+
+            def fill(p):
+                a, b = panels[p]
+                np.divide(panel(p).values @ psi[:, :rank], sig[None, :], out=out[a:b])
+
+            spread(fill, len(panels))
+            return out
+
+        if m <= d:
+            return product(), psi[:, :rank] if want_right else None
+        return space.unweigh(psi[:, :rank]), product() if want_right else None
 
     return _from_spectrum(_above_floor(lam, factor), assemble, space, epsilon, m, want_right)
 
 
 def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
-                      backend: PodBackend | None = None, want_right: bool = False) -> ModeSet:
+                      backend: PodBackend | None = None) -> ModeSet:
     """POD of [sigma_1 phi_1, ..., sigma_N phi_N | fresh].
 
     The merge step of single-pass incremental compression: the scaled prior
     modes and the fresh columns are stacked and decomposed by `pod` with the
     given backend, the same step a chain run's merge node performs.  A
     passthrough prior (raw snapshots, unit sigmas) stacks as its raw
-    columns.  The stack is written a row panel at a time, never whole.
+    columns.  A tall stack is written a row panel at a time, never whole.
     """
     if not prior.space.same_as(fresh.space):
         raise ValueError("prior modes and fresh block live in different spaces")
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     block = SnapshotBlock._stack(prior.space, [(prior.modes, prior.sigmas), (fresh.values, None)])
-    return pod(block, epsilon, backend, want_right=want_right)
+    return pod(block, epsilon, backend)

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,3 +288,23 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gen" in proc.stdout and "verify" in proc.stdout
+
+
+def test_burgers_compression_script():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "burgers_compression.py"), "--steps", "3000",
+         "--grid", "60", "--block-size", "100", "--omega", "0.5", "0.9", "--workers", "2"],
+        capture_output=True, text=True, cwd=root, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "2 sparks" in lines[0]
+    direct = lines[1].split()
+    assert direct[:4] == ["direct", "POD:", "3", "modes,"]
+    errors = [float(direct[direct.index("err/target^2") + 1].rstrip(","))]
+    start = next(i for i, ln in enumerate(lines) if ln.split()[:1] == ["omega"]) + 1
+    table = [ln.split() for ln in lines[start:start + 2]]
+    assert [row[0] for row in table] == ["0.500", "0.900"]
+    # omega, then mode count, peak, err and time for the chain and the tree
+    errors += [float(row[i]) for row in table for i in (3, 7)]
+    assert all(e <= 1.0 for e in errors)

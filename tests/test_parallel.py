@@ -128,9 +128,11 @@ class TestWorkerCountInvariance:
                 replace(r, wall_time=0.0) for r in first.reports]
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_bit_identical_with_wide_nodes(self, weighted):
+    def test_bit_identical_with_wide_nodes(self, weighted, monkeypatch):
         # 12 rows against leaves of 20 columns and merges of dozens: every
-        # node decomposes through the 12 x 12 correlation matrix
+        # node decomposes through the 12 x 12 correlation matrix, first in
+        # one panel, then with 10-column panels, which split the root too
+        pod_module = importlib.import_module("hapod.pod")
         dim = 12
         weights = np.random.default_rng(5).uniform(0.5, 2.0, dim) if weighted else None
         data = synthetic_decay(dim, 320, 0.3, seed=9).values
@@ -138,13 +140,18 @@ class TestWorkerCountInvariance:
         tree = build_balanced(16, 2)
         leaves = distribute_columns(tree, block, block_size=20)
         tol = assign_tolerances(tree, leaves, 1e-4)
-        runs = [run_parallel(tree, leaves, tol, worker_count=w, track_right_factor=True)[0]
-                for w in (1, 2, 3)]
-        assert all(r.input_count > dim for r in runs[0].reports)
-        for other in runs[1:]:
-            assert np.array_equal(other.modes.sigmas, runs[0].modes.sigmas)
-            assert np.array_equal(other.modes.modes, runs[0].modes.modes)
-            assert np.array_equal(other.right_factor, runs[0].right_factor)
+        for panels in (1, 2):
+            if panels > 1:
+                monkeypatch.setattr(pod_module, "BATCH_BYTES", 8 * dim * 10)
+            runs = [run_parallel(tree, leaves, tol, worker_count=w, track_right_factor=True)[0]
+                    for w in (1, 2, 3)]
+            assert all(r.input_count > dim for r in runs[0].reports)
+            root = runs[0].report_for(tree.root)
+            assert len(pod_module._row_panels(root.input_count, dim)) >= panels
+            for other in runs[1:]:
+                assert np.array_equal(other.modes.sigmas, runs[0].modes.sigmas)
+                assert np.array_equal(other.modes.modes, runs[0].modes.modes)
+                assert np.array_equal(other.right_factor, runs[0].right_factor)
 
 
     def test_bit_identical_with_panelled_nodes(self):

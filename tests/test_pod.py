@@ -345,13 +345,16 @@ class TestRowPanels:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(8, 80), cols=st.integers(1, 8),
            pieces=st.integers(2, 7), weighted=st.booleans(), want_right=st.booleans(),
-           rate=st.floats(0.05, 0.3), data=st.data())
-    def test_many_panels_match_one(self, seed, dim, cols, pieces, weighted, want_right, rate, data):
+           wide=st.booleans(), rate=st.floats(0.05, 0.3), data=st.data())
+    def test_many_panels_match_one(self, seed, dim, cols, pieces, weighted, want_right, wide,
+                                   rate, data):
         rng = np.random.default_rng(seed)
         cols = min(cols, dim)
-        weights = rng.uniform(0.5, 2.0, dim) if weighted else None
+        # a wide block is panelled as its dim x cols transpose
+        shape = (cols, dim) if wide else (dim, cols)
+        weights = rng.uniform(0.5, 2.0, shape[0]) if weighted else None
         sigmas = np.exp(-rate * np.arange(cols))
-        block = spectrum_block(rng, dim, cols, sigmas, weights)
+        block = spectrum_block(rng, *shape, sigmas, weights)
         keep = data.draw(st.integers(1, cols), label="keep")
         # budget halfway into the gap after the kept sigmas
         eps_sq = float(np.sum(sigmas[keep:] ** 2)) + 0.5 * sigmas[keep - 1] ** 2
@@ -369,9 +372,10 @@ class TestRowPanels:
             resid = block.space.weigh(block.values - (many.modes * many.sigmas[None, :]) @ many.right.T)
             assert float(np.sum(resid * resid)) <= eps_sq
 
-    def test_gramian_runs_once_per_panel(self, monkeypatch):
+    @pytest.mark.parametrize("dim, cols", [(60, 5), (5, 60)], ids=["tall", "wide"])
+    def test_gramian_runs_once_per_panel(self, monkeypatch, dim, cols):
         rng = np.random.default_rng(73)
-        block = random_block(rng, 60, 5, rng.uniform(0.5, 2.0, 60))
+        block = random_block(rng, dim, cols, rng.uniform(0.5, 2.0, dim))
         monkeypatch.setattr(POD, "BATCH_BYTES", 8 * 60 * 5 // 4)
         real, shapes = POD.gramian, []
 
@@ -382,6 +386,7 @@ class TestRowPanels:
         monkeypatch.setattr(POD, "gramian", spy)
         pod(block, 0.5)
         # four panels of 15 rows: the products add up to one 60-row Gramian
+        # (of the transpose, for the wide block)
         assert shapes == [(15, 5)] * 4
 
     @pytest.mark.parametrize("weighted", [False, True])
