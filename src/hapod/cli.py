@@ -140,6 +140,8 @@ def _pick_topology(topology: str, total_columns: int, blocks: int | None = None,
     if blocks is not None:
         k = blocks
     elif block_size is not None:
+        if block_size < 1:
+            raise ValueError("--block-size must be at least 1")
         k = max(1, math.ceil(total_columns / block_size))
     else:
         raise ValueError("pick a leaf split with --blocks or --block-size")
@@ -165,7 +167,12 @@ def _write_report(path, reports, ranges) -> None:
 
 def _read_report(path):
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh, delimiter="\t"))
+        reader = csv.DictReader(fh, delimiter="\t")
+        rows = list(reader)
+    for name in ("node", "local_epsilon", "output_mode_count", "col_start", "col_end"):
+        if name not in (reader.fieldnames or ()):
+            raise ValueError(f"{path}: no {name} column")
+    return rows
 
 
 def cmd_run(args) -> int:
@@ -253,6 +260,9 @@ def cmd_verify(args) -> int:
         if not (results / name).exists():
             raise FileNotFoundError(f"{results / name}: missing result file")
     summary = _read_kv(results / SUMMARY_FILE)
+    for key in ("eps_star", "omega"):
+        if key not in summary:
+            raise ValueError(f"{results / SUMMARY_FILE}: no {key}= line")
     eps_star = float(summary["eps_star"])
     omega = float(summary["omega"])
 
@@ -284,6 +294,9 @@ def cmd_verify(args) -> int:
     sigmas = hio.read_floats(results / SIGMAS_FILE)
     tree = parse_tree_text((results / TREE_FILE).read_text())
     report = _read_report(results / REPORT_FILE)
+    for r in report:
+        if not 0 <= int(r["node"]) < tree.node_count:
+            raise ValueError(f"{results / REPORT_FILE}: node {r['node']} is not in {results / TREE_FILE}")
 
     checks: list[tuple[str, bool, str]] = []
 

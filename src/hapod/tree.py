@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "RootedTree",
@@ -41,7 +42,7 @@ class RootedTree:
 
 @dataclass(frozen=True, eq=False)
 class TreeMaps:
-    """Derived per-node structure: levels, leaves, subtrees, parents.
+    """Derived per-node structure: levels, leaves, parents, subtrees.
 
     ``leaf_order`` lists the leaves in depth-first order following the child
     lists; that order is the canonical one for attaching data blocks and for
@@ -50,6 +51,11 @@ class TreeMaps:
     the order a single worker evaluates them in.
     ``subordinate_leaf_counts`` is only present when leaf block sizes were
     supplied to derive_maps.
+    ``subtree_nodes[v]`` lists v and then its descendants, children in
+    child-list order.  It is built from ``post_order`` and ``parent`` on
+    first read and kept: it holds O(nodes x depth) entries, which for a long
+    chain dwarfs every other field, and only error bounds and verification
+    read it.
     """
 
     leaves: tuple[int, ...]
@@ -57,62 +63,43 @@ class TreeMaps:
     level: tuple[int, ...]
     depth: int
     parent: tuple[int, ...]
-    subtree_nodes: tuple[tuple[int, ...], ...]
     post_order: tuple[int, ...]
     subordinate_leaf_counts: tuple[int, ...] | None = None
 
+    @cached_property
+    def subtree_nodes(self) -> tuple[tuple[int, ...], ...]:
+        # post-order finishes each child, in child-list order, before its parent
+        below: list[list[int]] = [[] for _ in self.parent]
+        subtree: list[tuple[int, ...]] = [()] * len(self.parent)
+        for v in self.post_order:
+            subtree[v] = (v, *below[v])
+            if self.parent[v] >= 0:
+                below[self.parent[v]].extend(subtree[v])
+        return tuple(subtree)
 
-def validate(tree: RootedTree) -> str | None:
-    """None if the tree is well formed, else a message naming the broken
-    condition and a witness node."""
+
+def _walk(tree: RootedTree) -> tuple[list[int], list[int]]:
+    """Parents and post-order of a tree, checked on the way.
+
+    Raises ValueError naming the first broken condition and a witness node.
+    """
     n = tree.node_count
     if n == 0:
-        return "tree has no nodes"
+        raise ValueError("tree has no nodes")
     if not (0 <= tree.root < n):
-        return f"root id {tree.root} out of range"
+        raise ValueError(f"root id {tree.root} out of range")
     parent = [-1] * n
     for v, kids in enumerate(tree.children):
         for c in kids:
             if not (0 <= c < n):
-                return f"node {v} lists child {c} outside 0..{n - 1}"
+                raise ValueError(f"node {v} lists child {c} outside 0..{n - 1}")
             if parent[c] != -1 or (c == v):
-                return f"node {c} has more than one parent (child lists must be disjoint)"
+                raise ValueError(f"node {c} has more than one parent (child lists must be disjoint)")
             parent[c] = v
     if parent[tree.root] != -1:
-        return f"root {tree.root} appears as a child of node {parent[tree.root]}"
-    # reachability from the root
-    seen = [False] * n
-    stack = [tree.root]
-    seen[tree.root] = True
-    while stack:
-        v = stack.pop()
-        for c in tree.children[v]:
-            if not seen[c]:
-                seen[c] = True
-                stack.append(c)
-    for v, ok in enumerate(seen):
-        if not ok:
-            return f"node {v} is not reachable from the root"
-    return None
-
-
-def derive_maps(tree: RootedTree, leaf_counts=None) -> TreeMaps:
-    """Levels, leaves, parents and subtree node lists for a valid tree.
-
-    leaf_counts, if given, maps leaf id -> number of snapshots attached there;
-    the per-node totals over each subtree are then filled in as
-    subordinate_leaf_counts.
-    """
-    problem = validate(tree)
-    if problem is not None:
-        raise ValueError(f"invalid tree: {problem}")
-    n = tree.node_count
-    parent = [-1] * n
-    for v, kids in enumerate(tree.children):
-        for c in kids:
-            parent[c] = v
-
-    # iterative post-order from the root
+        raise ValueError(f"root {tree.root} appears as a child of node {parent[tree.root]}")
+    # every node now has at most one parent and the root has none, so the
+    # walk from the root reaches each node at most once
     post: list[int] = []
     stack: list[tuple[int, bool]] = [(tree.root, False)]
     while stack:
@@ -121,27 +108,44 @@ def derive_maps(tree: RootedTree, leaf_counts=None) -> TreeMaps:
             post.append(v)
         else:
             stack.append((v, True))
-            for c in reversed(tree.children[v]):
-                stack.append((c, False))
+            stack.extend((c, False) for c in reversed(tree.children[v]))
+    if len(post) < n:
+        raise ValueError(f"node {min(set(range(n)) - set(post))} is not reachable from the root")
+    return parent, post
 
-    level = [0] * n
-    subtree: list[tuple[int, ...]] = [()] * n
+
+def validate(tree: RootedTree) -> str | None:
+    """None if the tree is well formed, else a message naming the broken
+    condition and a witness node."""
+    try:
+        _walk(tree)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def derive_maps(tree: RootedTree, leaf_counts=None) -> TreeMaps:
+    """Levels, leaves, parents and post-order for a valid tree.
+
+    leaf_counts, if given, maps leaf id -> number of snapshots attached there;
+    the per-node totals over each subtree are then filled in as
+    subordinate_leaf_counts.
+    """
+    try:
+        parent, post = _walk(tree)
+    except ValueError as exc:
+        raise ValueError(f"invalid tree: {exc}") from None
+    level = [0] * tree.node_count
     for v in post:
-        kids = tree.children[v]
-        level[v] = 1 + max((level[c] for c in kids), default=0)
-        own: list[int] = [v]
-        for c in kids:
-            own.extend(subtree[c])
-        subtree[v] = tuple(own)
-
-    leaves = tuple(v for v in range(n) if not tree.children[v])
+        level[v] = 1 + max((level[c] for c in tree.children[v]), default=0)
+    leaves = tuple(v for v, kids in enumerate(tree.children) if not kids)
 
     sub_counts = None
     if leaf_counts is not None:
         missing = [v for v in leaves if v not in leaf_counts]
         if missing:
             raise ValueError(f"leaf_counts missing leaf {missing[0]}")
-        per_node = [0] * n
+        per_node = [0] * tree.node_count
         for v in post:
             if not tree.children[v]:
                 c = int(leaf_counts[v])
@@ -158,7 +162,6 @@ def derive_maps(tree: RootedTree, leaf_counts=None) -> TreeMaps:
         level=tuple(level),
         depth=level[tree.root],
         parent=tuple(parent),
-        subtree_nodes=tuple(subtree),
         post_order=tuple(post),
         subordinate_leaf_counts=sub_counts,
     )
@@ -195,10 +198,10 @@ def build_chain(num_blocks: int) -> RootedTree:
 def build_balanced(num_blocks: int, depth: int) -> RootedTree:
     """Balanced n-ary tree with num_blocks leaves and `depth` branching levels.
 
-    The arity is the smallest n with n**depth >= num_blocks; the full tree is
-    then pruned from the right until exactly num_blocks leaves remain and any
-    interior node left with a single child is spliced out (the root always
-    stays).  Node ids are breadth-first, parent before child.
+    The arity is the smallest n with n**depth >= num_blocks.  Of the full
+    n-ary tree only the nodes over the first num_blocks leaf slots are built,
+    and a non-root node left with a single child is spliced out.  Node ids
+    are breadth-first, parent before child.
     """
     if depth < 2:
         raise ValueError("balanced trees need depth >= 2; use a star or a single node instead")
@@ -208,56 +211,28 @@ def build_balanced(num_blocks: int, depth: int) -> RootedTree:
     while n**depth < num_blocks:
         n += 1
 
-    # full n-ary tree, BFS ids; level index 0 is the root layer
-    layer_start = [0]
-    for i in range(depth):
-        layer_start.append(layer_start[-1] + n**i)
-    total = layer_start[-1] + n**depth
-    full_children: list[list[int]] = [[] for _ in range(total)]
-    for i in range(depth):
-        for j in range(n**i):
-            v = layer_start[i] + j
-            base = layer_start[i + 1] + j * n
-            full_children[v] = list(range(base, base + n))
-    full_leaves = list(range(layer_start[depth], total))
-    kept_leaves = set(full_leaves[:num_blocks])
+    # a node is (layer, index) of the full tree, layer 0 the root; node j on
+    # layer i covers the leaf slots [j, j + 1) * n**(depth - i)
+    def kept_children(i: int, j: int) -> list[tuple[int, int]]:
+        if i == depth:
+            return []
+        first_dropped = -(-num_blocks // n ** (depth - i - 1))
+        return [(i + 1, c) for c in range(j * n, min((j + 1) * n, first_dropped))]
 
-    # rebuild top-down, dropping pruned leaves, cascading empty interiors and
-    # collapsing single-child interiors (never the root); recursion depth is
-    # the tree depth, which is tiny
-    def rebuild(v: int, is_root: bool):
-        if not full_children[v]:
-            return v if v in kept_leaves else None
-        kept = [rebuild(c, False) for c in full_children[v]]
-        kept = [k for k in kept if k is not None]
-        if not kept:
-            return None
-        if len(kept) == 1 and not is_root:
-            return kept[0]
-        return (v, kept)
+    def spliced(node: tuple[int, int]) -> tuple[int, int]:
+        while len(kids := kept_children(*node)) == 1:
+            node = kids[0]
+        return node
 
-    built = rebuild(0, True)
-    if built is None:
-        raise ValueError("pruning removed every leaf")
-
-    # renumber breadth-first so ids stay dense and parent-before-child
-    new_children: list[tuple[int, ...]] = []
-    ids = {id(built): 0}
-    flat: list = [built]
-    queue = deque([built])
+    children: list[tuple[int, ...]] = []
+    queue = deque([(0, 0)])
     while queue:
-        node = queue.popleft()
-        if isinstance(node, tuple):
-            for c in node[1]:
-                ids[id(c)] = len(flat)
-                flat.append(c)
-                queue.append(c)
-    for node in flat:
-        if isinstance(node, tuple):
-            new_children.append(tuple(ids[id(c)] for c in node[1]))
-        else:
-            new_children.append(())
-    return RootedTree(tuple(new_children), 0)
+        kids = [spliced(c) for c in kept_children(*queue.popleft())]
+        # ids follow queue order: this node, then the queued ones, then kids
+        first = len(children) + len(queue) + 1
+        children.append(tuple(range(first, first + len(kids))))
+        queue.extend(kids)
+    return RootedTree(tuple(children), 0)
 
 
 def format_tree_text(tree: RootedTree) -> str:
@@ -267,14 +242,10 @@ def format_tree_text(tree: RootedTree) -> str:
         raise ValueError(f"refusing to serialize an invalid tree: {problem}")
     lines = []
     queue = deque([tree.root])
-    seen = {tree.root}
     while queue:
         v = queue.popleft()
         lines.append(" ".join(str(x) for x in (v, *tree.children[v])))
-        for c in tree.children[v]:
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
+        queue.extend(tree.children[v])
     return "\n".join(lines) + "\n"
 
 

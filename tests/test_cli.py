@@ -206,6 +206,8 @@ class TestRun:
         assert run_cli(*base, "--topology", "star") == 1
         assert run_cli(*base, "--topology", "star", "--blocks", 3,
                        "--block-size", 10) == 1
+        assert run_cli(*base, "--topology", "star", "--block-size", 0) == 1
+        assert "Traceback" not in capsys.readouterr().err
         assert run_cli("run", tmp_path / "missing.hpd", "--out", out,
                        "--eps-star", 0.01, "--topology", "star", "--blocks", 2) == 1
         assert run_cli("frobnicate") == 1
@@ -262,6 +264,22 @@ class TestVerify:
         assert run_cli("verify", out, snaps) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name, corrupt", [
+        ("summary.txt", lambda text: "".join(ln for ln in text.splitlines(True)
+                                             if not ln.startswith("eps_star="))),
+        ("report.tsv", lambda text: "".join("\t".join(ln.rstrip("\n").split("\t")[:-2]) + "\n"
+                                            for ln in text.splitlines(True))),
+        ("tree.txt", lambda text: "0\n"),
+    ], ids=["summary-without-eps-star", "report-without-columns", "tree-missing-nodes"])
+    def test_malformed_results_exit_usage(self, finished_run, capsys, name, corrupt):
+        out, snaps = finished_run
+        path = out / name
+        path.write_text(corrupt(path.read_text()))
+        assert run_cli("verify", out, snaps) == 1
+        err = capsys.readouterr().err
+        assert name in err
+        assert "Traceback" not in err
+
     def test_cap_refuses_large_dense_check(self, finished_run, capsys):
         out, snaps = finished_run
         assert run_cli("verify", out, snaps, "--cap", 100) == 1
@@ -281,6 +299,12 @@ class TestBench:
         assert len(lines) == 1 + 2 * 3
         kinds = {ln.split("\t")[1] for ln in lines[1:]}
         assert kinds == {"pod", "balanced", "star"}
+
+    def test_zero_block_size_exits_usage(self, capsys):
+        assert run_cli("bench", "--rows", 30, "--sizes", "90", "--block-size", 0) == 1
+        err = capsys.readouterr().err
+        assert "block-size" in err
+        assert "Traceback" not in err
 
 
 def test_module_entry_point():

@@ -569,6 +569,16 @@ class TestIncrementalSession:
         with pytest.raises(ValueError):
             IncrementalSession(0.1, 0.5, 0)
 
+    def test_set_up_memory_is_linear_in_planned_blocks(self):
+        # a table of every node's subtree would hold about 16 million ids here
+        tracemalloc.start()
+        try:
+            IncrementalSession(0.1, 0.75, planned_block_count=4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 class TestOmegaTradeoff:
     def test_root_count_bounded_and_monotone(self):

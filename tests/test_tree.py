@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hapod.tree import (
@@ -29,6 +29,30 @@ def naive_levels(tree):
 parent_arrays = st.integers(1, 40).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(
         st.integers(0, 10**6), min_size=n - 1, max_size=n - 1)))
+
+
+# arbitrary child lists over a few node ids, most of them not trees: ids out
+# of range, repeated children, cycles and roots that are children
+arbitrary_child_lists = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-1, n + 1), max_size=3).map(tuple), min_size=n, max_size=n).map(tuple),
+        st.integers(-1, n + 1)))
+
+
+def is_tree(children, root):
+    """Oracle: every non-root id is a child exactly once and the root reaches all."""
+    n = len(children)
+    listed = sorted(c for kids in children for c in kids)
+    if not 0 <= root < n or listed != [v for v in range(n) if v != root]:
+        return False
+    reached, todo = set(), [root]
+    while todo:
+        v = todo.pop()
+        if v in reached:
+            return False
+        reached.add(v)
+        todo.extend(children[v])
+    return len(reached) == n
 
 
 def tree_from_draw(draw):
@@ -71,6 +95,25 @@ class TestValidate:
     def test_root_out_of_range(self):
         msg = validate(RootedTree(((),), 3))
         assert msg is not None
+
+    @given(arbitrary_child_lists)
+    @example(((), 0))
+    @example((((3,), ()), 0))
+    @example((((1, 2), (2,), ()), 0))
+    @example((((1,), (), (3,), (2,)), 0))
+    @example((((1,), ()), 2))
+    @example((((1,), (0,)), 1))
+    def test_one_verdict_for_validate_and_derive_maps(self, drawn):
+        children, root = drawn
+        tree = RootedTree(children, root)
+        problem = validate(tree)
+        assert (problem is None) == is_tree(children, root)
+        if problem is None:
+            assert sorted(derive_maps(tree).post_order) == list(range(len(children)))
+        else:
+            with pytest.raises(ValueError) as info:
+                derive_maps(tree)
+            assert str(info.value) == f"invalid tree: {problem}"
 
 
 class TestDeriveMaps:
@@ -182,6 +225,20 @@ class TestBuilders:
                 for v in range(tree.node_count):
                     if v != tree.root:
                         assert len(tree.children[v]) != 1
+
+    @pytest.mark.parametrize("shape, interior, leaf_count", [
+        ((7, 2), ((1, 2, 3), (4, 5, 6), (7, 8, 9)), 7),
+        ((11, 3), ((1, 2), (3, 4, 5), (6, 7), (8, 9, 10), (11, 12, 13), (14, 15, 16)), 11),
+        ((65, 3), ((1, 2, 3), tuple(range(4, 9)), tuple(range(9, 14)), (14, 15, 16))
+         + tuple(tuple(range(17 + 5 * k, 22 + 5 * k)) for k in range(13)), 65),
+        # the shape of the benchmark's synthetic-balanced tree
+        ((80, 2), (tuple(range(1, 10)),) + tuple(tuple(range(10 + 9 * k, 19 + 9 * k)) for k in range(8))
+         + (tuple(range(82, 90)),), 80),
+    ])
+    def test_balanced_pinned_shapes(self, shape, interior, leaf_count):
+        tree = build_balanced(*shape)
+        assert tree.root == 0
+        assert tree.children == interior + ((),) * leaf_count
 
     def test_balanced_rejects_shallow_depth(self):
         with pytest.raises(ValueError):
