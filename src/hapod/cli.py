@@ -166,9 +166,13 @@ def _write_report(path, reports, ranges) -> None:
 
 
 def _read_report(path):
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, delimiter="\t")
-        rows = list(reader)
+        for r in reader:
+            if None in r or None in r.values():
+                raise ValueError(f"{path}: line {reader.line_num} does not have one field per column")
+            rows.append(r)
     for name in ("node", "local_epsilon", "output_mode_count", "col_start", "col_end"):
         if name not in (reader.fieldnames or ()):
             raise ValueError(f"{path}: no {name} column")
@@ -176,6 +180,8 @@ def _read_report(path):
 
 
 def cmd_run(args) -> int:
+    if not 0.0 < args.omega <= 1.0:
+        raise ValueError(f"--omega must lie in (0, 1], got {args.omega}")
     block = hio.load_snapshots(args.input)
     if block.count == 0:
         raise ValueError(f"{args.input}: no snapshot columns")

@@ -290,18 +290,24 @@ def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAss
     child-list order.  An interior node decomposes its children's scaled
     modes side by side as one stacked block, whose rows are written only
     when a row panel of the POD asks for them, so the stacked input is never
-    held whole.  spread runs those panels (see `pod`).  Returns (ModeSet,
-    cumulative right factor or None, NodeReport).
+    held whole; a passthrough child stacks unscaled.  A leaf below the root
+    that would keep every column passes it on (``pass_full``).  spread runs
+    the panels (see `pod`).  Returns (ModeSet, cumulative right factor or
+    None, NodeReport).
     """
     eps = tol.epsilons[node]
     started = time.perf_counter()
-    if not tree.children[node]:
+    leaf = not tree.children[node]
+    if leaf:
         block = leaves.blocks[node]
     else:
-        block = SnapshotBlock._stack(leaves.space, [(ms.modes, ms.sigmas) for ms, _ in child_results])
-    out = pod(block, eps, backend, want_right=track, spread=spread)
+        parts = [(ms.modes, ms.sigmas if ms.orthonormal else None) for ms, _ in child_results]
+        block = SnapshotBlock._stack(leaves.space, parts)
+    # the root's modes must be orthonormal
+    out = pod(block, eps, backend, want_right=track, spread=spread,
+              pass_full=leaf and node != tree.root)
     lhat = out.right if track else None
-    if track and tree.children[node]:
+    if track and not leaf:
         # block_diag(child factors) @ out.right, one child's rows at a time
         ends = np.cumsum([ms.count for ms, _ in child_results])
         lhat = np.vstack([lh @ out.right[end - ms.count:end]

@@ -62,9 +62,10 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
     """Evaluate the tree on a pool of worker_count threads; see run_hapod.
 
     Each node starts as soon as its last child finishes and a worker is free,
-    ready nodes in post-order.  The dense kernels drop the interpreter lock,
-    so nodes really do overlap.  The row panels of a node's POD run on the
-    same pool of worker_count threads: the node's thread runs them in order
+    ready nodes in post-order.  NumPy's products drop the interpreter lock
+    but scipy's `eigh` and `svd` hold it, so nodes overlap in their Gramian
+    panels, not in their eigensolves.  The row panels of a node's POD run on
+    the same pool of worker_count threads: the node's thread runs them in order
     while idle threads take panels it has not reached, and the node's thread
     adds the results in panel order whoever ran them.  No thread waits for a
     panel that nobody has started, and there is no second pool.  Child

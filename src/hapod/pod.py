@@ -352,15 +352,21 @@ def _above_floor(values: np.ndarray, factor: float) -> np.ndarray:
     return values[values >= factor * values[0]]
 
 
-def _from_spectrum(lam, assemble, space, epsilon, m, want_right):
+def _from_spectrum(lam, assemble, space, epsilon, m, want_right, total):
     """Shared truncation logic.  lam are the squared singular values that
-    survived the noise cutoff, descending; assemble(rank, sig) must return the
-    first rank modes as a d x rank array and their right vectors (m x rank,
-    or None when not wanted)."""
+    survived the noise cutoff, descending; total is the block's energy
+    measured from its entries; assemble(rank, sig) must return the first rank
+    modes as a d x rank array and their right vectors (m x rank, or None when
+    not wanted)."""
     if not lam.size:
         return _empty_mode_set(space, want_right, input_count=m)
     sig = np.sqrt(lam)
     rank = truncation_rank(sig, epsilon)
+    # lam sums to the block's energy only up to the solver's rounding, so a
+    # budget just below that energy can pass the sum: keep no mode only when
+    # the measured energy, with room for its own rounding, fits the budget
+    if rank == 0 and total * (1.0 + DEFAULT_GRAM_CUTOFF * m) > epsilon * epsilon:
+        rank = 1
     tail = float(np.sum(lam[rank:]))
     modes, right = assemble(rank, sig[:rank])
     modes, right = _finish_modes(modes, right, space)
@@ -457,7 +463,7 @@ def _pooled_spread(pool=None, helpers: int = 0):
 
 
 def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
-        want_right: bool = False, spread=None) -> ModeSet:
+        want_right: bool = False, spread=None, pass_full: bool = False) -> ModeSet:
     """POD of a snapshot block, truncated at squared-error budget epsilon^2.
 
     Parameters
@@ -485,6 +491,10 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
         `_pooled_spread`.  The default runs
         them in order on the calling thread, the executor lets idle pool
         threads take some.  The result does not depend on it.
+    pass_full
+        On the "gram" route of a block with m <= d: when a Cholesky of
+        G - epsilon^2 I succeeds, truncation would keep every column, so
+        return the passthrough set of ``epsilon = 0`` undecomposed.
 
     Returns
     -------
@@ -503,14 +513,16 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     d = space.dimension
     factor = DEFAULT_GRAM_CUTOFF * m
     if backend.kind == "svd":
-        u, s, vt = scipy.linalg.svd(space.weigh(_panel(block, 0, d).values), full_matrices=False)
+        a = space.weigh(_panel(block, 0, d).values)
+        total = float(np.vdot(a, a))
+        u, s, vt = scipy.linalg.svd(a, full_matrices=False)
         s = _above_floor(s, factor)
 
         def assemble(rank, sig):
             right = vt[:rank].T if want_right else None
             return space.unweigh(u[:, :rank]), right
 
-        return _from_spectrum(s * s, assemble, space, epsilon, m, want_right)
+        return _from_spectrum(s * s, assemble, space, epsilon, m, want_right, total)
     if m <= d:
         x = block
     else:
@@ -549,6 +561,14 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
             g += part
 
     spread(lambda p: gramian(panel(p)), len(panels), add)
+    if pass_full and m <= d:
+        try:  # succeeds only if every eigenvalue of G exceeds epsilon^2
+            np.linalg.cholesky(g - epsilon * epsilon * np.eye(m))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return _passthrough(block, want_right)
+    total = float(np.trace(g))
     lam, psi = _descending_eigh(g)
     del g
 
@@ -567,7 +587,7 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
             return product(), psi[:, :rank] if want_right else None
         return space.unweigh(psi[:, :rank]), product() if want_right else None
 
-    return _from_spectrum(_above_floor(lam, factor), assemble, space, epsilon, m, want_right)
+    return _from_spectrum(_above_floor(lam, factor), assemble, space, epsilon, m, want_right, total)
 
 
 def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
@@ -577,12 +597,13 @@ def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
     The merge step of single-pass incremental compression: the scaled prior
     modes and the fresh columns are stacked and decomposed by `pod` with the
     given backend, the same step a chain run's merge node performs.  A
-    passthrough prior (raw snapshots, unit sigmas) stacks as its raw
-    columns.  A tall stack is written a row panel at a time, never whole.
+    passthrough prior (raw snapshots, unit sigmas) stacks unscaled.  A tall
+    stack is written a row panel at a time, never whole.
     """
     if not prior.space.same_as(fresh.space):
         raise ValueError("prior modes and fresh block live in different spaces")
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
-    block = SnapshotBlock._stack(prior.space, [(prior.modes, prior.sigmas), (fresh.values, None)])
+    scale = prior.sigmas if prior.orthonormal else None
+    block = SnapshotBlock._stack(prior.space, [(prior.modes, scale), (fresh.values, None)])
     return pod(block, epsilon, backend)

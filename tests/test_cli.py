@@ -214,6 +214,36 @@ class TestRun:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("omega", [0.0, -0.5, 1.5, "nan"])
+    def test_omega_outside_unit_interval_exits_before_the_run(self, synthetic_file, tmp_path,
+                                                             capsys, omega):
+        out = tmp_path / "o"
+        assert run_cli("run", synthetic_file, "--out", out, "--eps-star", 0.01, "--omega", omega,
+                       "--topology", "star", "--blocks", 2) == 1
+        err = capsys.readouterr().err
+        assert "--omega" in err
+        assert "Traceback" not in err
+        assert not (out / "modes.hpd").exists()
+
+    def test_balanced_run_with_passthrough_leaves_verifies(self, tmp_path, capsys):
+        # rows scaled down to exp(-4.7): the 60 x 20 leaves keep all their
+        # columns at a tolerance of about 0.15, the root truncates
+        path = tmp_path / "rows.hpd"
+        rows = np.exp(-0.08 * np.arange(60))[:, None]
+        write_matrix(path, rows * np.random.default_rng(17).standard_normal((60, 240)))
+        out = tmp_path / "res"
+        assert run_cli("run", path, "--out", out, "--eps-star", 0.05, "--topology", "balanced",
+                       "--block-size", 20, "--workers", 2) == 0
+        rows = [ln.split("\t") for ln in (out / "report.tsv").read_text().splitlines()]
+        header = rows[0]
+        leaves = [dict(zip(header, r)) for r in rows[1:] if r[header.index("is_leaf")] == "1"]
+        assert len(leaves) == 12
+        assert all(r["output_mode_count"] == r["input_count"] == "20" for r in leaves)
+        assert int(read_kv(out / "summary.txt")["mode_count"]) < 60
+        assert run_cli("verify", out, path) == 0
+        assert "verification passed" in capsys.readouterr().out
+
+
 class TestVerify:
     @pytest.fixture
     def finished_run(self, synthetic_file, tmp_path):
@@ -278,6 +308,17 @@ class TestVerify:
         assert run_cli("verify", out, snaps) == 1
         err = capsys.readouterr().err
         assert name in err
+        assert "Traceback" not in err
+
+    def test_short_report_row_exits_usage(self, finished_run, capsys):
+        out, snaps = finished_run
+        path = out / "report.tsv"
+        lines = path.read_text().splitlines(True)
+        lines[2] = lines[2].split("\t")[0] + "\n"
+        path.write_text("".join(lines))
+        assert run_cli("verify", out, snaps) == 1
+        err = capsys.readouterr().err
+        assert "report.tsv" in err and "line 3" in err
         assert "Traceback" not in err
 
     def test_cap_refuses_large_dense_check(self, finished_run, capsys):

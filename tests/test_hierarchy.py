@@ -17,6 +17,7 @@ from hapod import (
     ToleranceAssignment,
     actual_mean_error,
     assign_tolerances,
+    build_balanced,
     build_chain,
     build_star,
     derive_maps,
@@ -453,6 +454,71 @@ class TestRightFactor:
         tree, leaves, _ = star_case(rng, k=2, per_leaf=4)
         tol = assign_tolerances(tree, leaves, 0.5)
         assert run_hapod(tree, leaves, tol).right_factor is None
+
+
+class TestPassthroughLeaves:
+    """Leaves below the root whose tolerance lies under their smallest
+    sigma hand their columns on raw instead of decomposing them."""
+
+    def case(self, weights=None):
+        # 40 x 10 Gaussian leaves have sigmas near 3, far above their
+        # tolerance of about 0.1
+        rng = np.random.default_rng(107)
+        block = SnapshotBlock(InnerProductSpace(40, weights), rng.standard_normal((40, 160)))
+        tree = build_balanced(16, 2)
+        leaves = distribute_columns(tree, block)
+        return tree, leaves, assign_tolerances(tree, leaves, 0.05)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_one_eigensolve_per_non_leaf_node(self, monkeypatch, weighted):
+        weights = np.random.default_rng(109).uniform(0.5, 2.0, 40) if weighted else None
+        tree, leaves, tol = self.case(weights)
+        calls = []
+        real = scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: calls.append(1) or real(*a, **k))
+        result = run_hapod(tree, leaves, tol)
+        assert len(calls) == sum(1 for kids in tree.children if kids) == 5
+        for leaf, block in leaves.blocks.items():
+            report = result.report_for(leaf)
+            assert report.output_mode_count == block.count == 10
+            assert report.discarded_tail_energy == 0.0
+        space = leaves.space
+        assert result.modes.orthonormal
+        g = space.gram(result.modes.modes, result.modes.modes)
+        assert np.max(np.abs(g - np.eye(result.mode_count))) <= 1e-10
+
+        def explicit(v):
+            # every node decomposed, the leaves included
+            if not tree.children[v]:
+                return pod(leaves.blocks[v], tol.epsilons[v])
+            stacked = np.hstack([explicit(c).scaled() for c in tree.children[v]])
+            return pod(SnapshotBlock(space, stacked), tol.epsilons[v])
+
+        ref = explicit(tree.root)
+        assert result.mode_count == ref.count
+        assert np.allclose(result.modes.sigmas, ref.sigmas, rtol=1e-10, atol=0.0)
+
+    def test_passthrough_leaves_stack_unscaled(self, monkeypatch):
+        tree, leaves, tol = self.case()
+        real, scales = SnapshotBlock._stack, []
+
+        def spy(space, parts):
+            scales.append([scale for _, scale in parts])
+            return real(space, parts)
+
+        monkeypatch.setattr(SnapshotBlock, "_stack", staticmethod(spy))
+        run_hapod(tree, leaves, tol)
+        # four interior nodes over raw leaves, then the root over their modes
+        assert [[scale is None for scale in node] for node in scales] == [[True] * 4] * 4 + [[False] * 4]
+
+    def test_root_leaf_is_decomposed(self):
+        rng = np.random.default_rng(111)
+        block = SnapshotBlock(InnerProductSpace(40), rng.standard_normal((40, 10)))
+        tree = RootedTree(((),), 0)
+        result = run_hapod(tree, LeafAssignment({0: block}), ToleranceAssignment((0.1,)))
+        assert result.modes.orthonormal and result.mode_count == 10
+        g = result.modes.modes.T @ result.modes.modes
+        assert np.max(np.abs(g - np.eye(10))) <= 1e-10
 
 
 class TestIncrementalSession:

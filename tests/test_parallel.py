@@ -176,6 +176,28 @@ class TestWorkerCountInvariance:
             assert np.array_equal(other.right_factor, runs[0].right_factor)
 
 
+    def test_bit_identical_with_passthrough_leaves(self):
+        # 40 x 10 Gaussian leaves keep every column, so all 16 hand their
+        # raw columns and identity right factors to their parents
+        rng = np.random.default_rng(113)
+        block = SnapshotBlock(InnerProductSpace(40), rng.standard_normal((40, 160)))
+        tree = build_balanced(16, 2)
+        leaves = distribute_columns(tree, block)
+        tol = assign_tolerances(tree, leaves, 0.05)
+        runs = [run_parallel(tree, leaves, tol, worker_count=w, track_right_factor=True)[0]
+                for w in (1, 2, 3)]
+        assert all(runs[0].report_for(leaf).discarded_tail_energy == 0.0
+                   and runs[0].report_for(leaf).output_mode_count == 10 for leaf in leaves.blocks)
+        # the factor still reproduces the snapshots within the a-priori bound
+        first = runs[0]
+        resid = block.values - (first.modes.modes * first.modes.sigmas[None, :]) @ first.right_factor.T
+        assert float(np.sum(resid * resid)) <= first.apriori_error_bound ** 2
+        for other in runs[1:]:
+            assert np.array_equal(other.modes.sigmas, runs[0].modes.sigmas)
+            assert np.array_equal(other.modes.modes, runs[0].modes.modes)
+            assert np.array_equal(other.right_factor, runs[0].right_factor)
+
+
 class TestPooledSpread:
     def test_owners_filling_the_pool_finish_alone(self):
         # eight owners take all eight threads of the pool, so their helpers

@@ -284,6 +284,20 @@ class TestGramRoutes:
         out = pod(block, np.sqrt(eps_sq), PodBackend(kind))
         assert span_residual_sq(block.values, out.modes, weights) <= eps_sq
 
+    @pytest.mark.parametrize("kind", ["gram", "svd"])
+    @pytest.mark.parametrize("dim, cols, rate", [(9, 15, 2.0), (17, 17, 1.0)])
+    def test_budget_just_below_the_energy_keeps_a_mode(self, kind, dim, cols, rate):
+        # here the eigenvalues that pass the noise floor sum to less than the
+        # block's energy, and this budget falls between the two
+        sigmas = np.exp(-rate * np.arange(min(dim, cols)))
+        block = spectrum_block(np.random.default_rng(0), dim, cols, sigmas)
+        total_sq = float(np.sum(block.values ** 2))
+        eps_sq = 10.0 ** (-10.0 * np.finfo(np.float64).eps) * total_sq
+        assert eps_sq < total_sq
+        out = pod(block, np.sqrt(eps_sq), PodBackend(kind))
+        assert out.count >= 1
+        assert span_residual_sq(block.values, out.modes) <= eps_sq
+
     @pytest.mark.parametrize("dim, cols", [(8, 20), (20, 8), (10, 10)])
     def test_eigh_sees_the_smaller_square(self, monkeypatch, dim, cols):
         sizes = []
@@ -540,3 +554,102 @@ class TestValidation:
     def test_backend_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             PodBackend("qr")
+
+
+class TestPassFull:
+    """`pod(..., pass_full=True)` hands back the raw columns of a tall block
+    whose every singular value exceeds epsilon, and decomposes otherwise."""
+
+    SIGMAS = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+
+    def assert_same(self, a, b):
+        assert a.orthonormal == b.orthonormal and a.tail_energy == b.tail_energy
+        assert np.array_equal(a.sigmas, b.sigmas)
+        assert np.array_equal(a.modes, b.modes)
+        assert (a.right is None) == (b.right is None)
+        if a.right is not None:
+            assert np.array_equal(a.right, b.right)
+
+    def assert_passthrough(self, out, block):
+        assert not out.orthonormal
+        assert np.array_equal(out.modes, block.values)
+        assert np.array_equal(out.sigmas, np.ones(block.count))
+        assert out.tail_energy == 0.0
+        assert np.array_equal(out.right, np.eye(block.count))
+
+    @pytest.mark.parametrize("panels", [1, 3])
+    def test_below_smallest_sigma_passes_through(self, monkeypatch, panels):
+        block = spectrum_block(np.random.default_rng(91), 12, 5, self.SIGMAS)
+        if panels > 1:
+            monkeypatch.setattr(POD, "BATCH_BYTES", 8 * 4 * 5)
+        assert len(POD._row_panels(12, 5)) == panels
+        self.assert_passthrough(pod(block, 0.9, want_right=True, pass_full=True), block)
+
+    @pytest.mark.parametrize("eps", [1.1, 2.5, 10.0])
+    def test_above_smallest_sigma_is_unchanged(self, eps):
+        block = spectrum_block(np.random.default_rng(93), 12, 5, self.SIGMAS)
+        out = pod(block, eps, want_right=True, pass_full=True)
+        self.assert_same(out, pod(block, eps, want_right=True))
+        assert out.orthonormal and out.count < block.count
+
+    def test_skips_the_eigensolve(self, monkeypatch):
+        block = spectrum_block(np.random.default_rng(95), 12, 5, self.SIGMAS)
+        calls = []
+        real = scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: calls.append(1) or real(*a, **k))
+        pod(block, 0.9, pass_full=True)
+        assert calls == []
+        pod(block, 1.1, pass_full=True)
+        assert calls == [1]
+
+    def test_wide_block_is_decomposed(self):
+        # 5 rows, 12 columns: every nonzero sigma exceeds epsilon, but only
+        # a tall block can hand its columns on
+        block = spectrum_block(np.random.default_rng(97), 5, 12, self.SIGMAS)
+        out = pod(block, 0.9, want_right=True, pass_full=True)
+        self.assert_same(out, pod(block, 0.9, want_right=True))
+        assert out.orthonormal and out.count == 5
+
+    def test_svd_backend_is_decomposed(self):
+        block = spectrum_block(np.random.default_rng(99), 12, 5, self.SIGMAS)
+        svd = PodBackend("svd")
+        out = pod(block, 0.9, svd, want_right=True, pass_full=True)
+        self.assert_same(out, pod(block, 0.9, svd, want_right=True))
+        assert out.orthonormal and out.count == 5
+
+    def test_weighted_block_checks_the_weighted_sigmas(self):
+        # small weights make every Euclidean sigma exceed 3, while the
+        # weighted ones run down to 1: 1.5 must decompose, 0.9 pass through
+        rng = np.random.default_rng(101)
+        weights = rng.uniform(0.01, 0.1, 12)
+        block = spectrum_block(rng, 12, 5, self.SIGMAS, weights)
+        assert scipy.linalg.svdvals(block.values)[-1] > 3.0
+        out = pod(block, 1.5, want_right=True, pass_full=True)
+        self.assert_same(out, pod(block, 1.5, want_right=True))
+        assert out.count == 4
+        self.assert_passthrough(pod(block, 0.9, want_right=True, pass_full=True), block)
+
+    def test_rank_deficient_block_is_decomposed(self):
+        rng = np.random.default_rng(103)
+        values = rng.standard_normal((12, 5))
+        values[:, 4] = values[:, 0]
+        block = SnapshotBlock(euclid(12), values)
+        out = pod(block, 1e-3, pass_full=True)
+        assert out.orthonormal and out.count == 4
+
+    def test_passthrough_prior_stacks_unscaled(self, monkeypatch):
+        rng = np.random.default_rng(105)
+        fresh = random_block(rng, 8, 2)
+        real, scales = SnapshotBlock._stack, []
+
+        def spy(space, parts):
+            scales.append([scale for _, scale in parts])
+            return real(space, parts)
+
+        monkeypatch.setattr(SnapshotBlock, "_stack", staticmethod(spy))
+        passed = pod(random_block(rng, 8, 3), 0.0)
+        kept = pod(random_block(rng, 8, 3), 0.1)
+        block_gramian_pod(passed, fresh, 0.1)
+        block_gramian_pod(kept, fresh, 0.1)
+        assert scales[0] == [None, None]
+        assert scales[1][0] is kept.sigmas and scales[1][1] is None
