@@ -182,6 +182,8 @@ def _read_report(path):
 def cmd_run(args) -> int:
     if not 0.0 < args.omega <= 1.0:
         raise ValueError(f"--omega must lie in (0, 1], got {args.omega}")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     block = hio.load_snapshots(args.input)
     if block.count == 0:
         raise ValueError(f"{args.input}: no snapshot columns")
@@ -490,10 +492,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except GenerationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except (GenerationError, np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, ValueError) as exc:

@@ -131,7 +131,8 @@ def distribute_columns(tree: RootedTree, block: SnapshotBlock, counts=None,
     Exactly one of counts / block_size may be given; with neither, the columns
     are split as evenly as possible.  block_size cuts consecutive chunks of
     that many columns (the last one shorter) and requires the tree to have
-    exactly the resulting number of leaves.
+    exactly the resulting number of leaves.  Leaves are views of their
+    columns of ``block``, in its memory order, and are not scanned again.
     """
     maps = maps if maps is not None else derive_maps(tree)
     order = maps.leaf_order
@@ -215,12 +216,17 @@ def error_bound(tree: RootedTree, tol: ToleranceAssignment, node: int | None = N
                 maps: TreeMaps | None = None) -> float:
     """A-priori bound sqrt(sum of epsilon**2 over the subtree) on the total
     squared projection error of the node's output against its subordinate
-    snapshots."""
+    snapshots.  It walks the child lists, not ``maps.subtree_nodes``, whose
+    table a long chain cannot afford; given maps vouch for the tree."""
     if len(tol.epsilons) != tree.node_count:
         raise ValueError("tolerance map does not cover the tree")
-    maps = maps if maps is not None else derive_maps(tree)
-    v = tree.root if node is None else node
-    return math.sqrt(sum(tol.epsilons[u] ** 2 for u in maps.subtree_nodes[v]))
+    if maps is None:
+        derive_maps(tree)  # checks the tree, so the walk ends
+    below, stack = [], [tree.root if node is None else node]
+    while stack:  # the node, then its descendants in child-list order
+        below.append(stack.pop())
+        stack.extend(reversed(tree.children[below[-1]]))
+    return math.sqrt(sum(tol.epsilons[u] ** 2 for u in below))
 
 
 def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet, worker_count: int = 1) -> float:

@@ -22,7 +22,9 @@ partial Gramians, in panel order (`_pooled_spread`).  A block of one panel
 takes exactly the unpanelled route.  A block may be a stack of column-scaled
 parts (`SnapshotBlock._stack`), whose rows are written only when a panel of
 a tall block asks for them, so the stacked input of a tall node is never
-held whole.
+held whole.  Blocks and mode sets hold a read-only view of the caller's array
+in its memory order, so the array must not change while they are in use;
+only `_panel` copies, a panel BLAS cannot read.
 
 Everything works in R^d equipped with an optional strictly positive diagonal
 weight vector; without weights the inner product is the Euclidean one.
@@ -58,8 +60,8 @@ BATCH_BYTES = 2**23
 
 
 def _read_only(a):
-    # the flag is set on a view, so the caller's array stays writeable
-    a = np.ascontiguousarray(a, dtype=np.float64).view()
+    # a view in the caller's memory order; the caller's array stays writeable
+    a = np.asarray(a, dtype=np.float64).view()
     a.setflags(write=False)
     return a
 
@@ -121,15 +123,11 @@ class InnerProductSpace:
         return np.einsum("ij,ij->j", a, self.weights[:, None] * a)
 
 
-def _block_values(v):
-    """Read-only values in either memory order, so column slices of a
-    column-major (e.g. memory-mapped) matrix stay views."""
-    return _read_only(v.T).T if v.flags.f_contiguous else _read_only(v)
-
-
 @dataclass(frozen=True, eq=False)
 class SnapshotBlock:
-    """A d x m column block of snapshots living in one space."""
+    """A d x m column block of snapshots living in one space.  ``values`` is
+    a read-only view of the caller's array in its memory order, so the array
+    must not change while the block is in use; only `_panel` copies."""
 
     space: InnerProductSpace
     values: np.ndarray
@@ -146,12 +144,12 @@ class SnapshotBlock:
         # temporary the size of the block
         if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise ValueError("snapshot block contains non-finite entries")
-        object.__setattr__(self, "values", _block_values(v))
+        object.__setattr__(self, "values", _read_only(v))
 
     def _part(self, values: np.ndarray, space: InnerProductSpace | None = None) -> "SnapshotBlock":
         """A block over a slice or copy of these values, not scanned again;
         ``space`` replaces this block's space for a slice of its rows."""
-        return _unchecked(space or self.space, _block_values(values))
+        return _unchecked(space or self.space, _read_only(values))
 
     @staticmethod
     def _stack(space: InnerProductSpace, parts) -> "SnapshotBlock":
@@ -206,7 +204,8 @@ class ModeSet:
     columns are raw snapshots, all sigmas are exactly one and nothing was
     decomposed.  ``tail_energy`` is the energy discarded by truncation,
     ``right`` optionally carries the matching right singular vectors (m x N,
-    orthonormal columns in the Euclidean sense).
+    orthonormal columns in the Euclidean sense).  Its arrays are read-only
+    views of the caller's, as in `SnapshotBlock`.
     """
 
     space: InnerProductSpace
@@ -228,7 +227,7 @@ class ModeSet:
         object.__setattr__(self, "sigmas", _read_only(s))
         object.__setattr__(self, "modes", _read_only(m))
         if self.right is not None:
-            object.__setattr__(self, "right", _read_only(np.asarray(self.right, dtype=np.float64)))
+            object.__setattr__(self, "right", _read_only(self.right))
 
     @property
     def count(self) -> int:
@@ -295,9 +294,10 @@ def _fix_signs(modes: np.ndarray, right: np.ndarray | None):
     pick = np.argmax(np.abs(modes), axis=0)
     signs = np.sign(modes[pick, np.arange(modes.shape[1])])
     signs[signs == 0.0] = 1.0
-    modes = modes * signs[None, :]
+    # C order whatever the layout of the eigenvectors they came from
+    modes = np.multiply(modes, signs[None, :], order="C")
     if right is not None:
-        right = right * signs[None, :]
+        right = np.multiply(right, signs[None, :], order="C")
     return modes, right
 
 
@@ -387,13 +387,13 @@ def _row_panels(d: int, m: int) -> list[tuple[int, int]]:
 
 
 def _panel(block: SnapshotBlock, a: int, b: int, space: InnerProductSpace | None = None) -> SnapshotBlock:
-    """Rows a:b of a block, over ``space`` (theirs), in memory BLAS can take."""
+    """Rows a:b of a block, over ``space`` (theirs), in memory BLAS can take:
+    the one copy of snapshot data.  NumPy hands BLAS only aligned operands
+    with a unit stride, so any other panel (an .hpd payload sits at an odd
+    offset behind its header) is copied, in its own memory order."""
     values = block.values[a:b]
-    if not values.flags.aligned or not (values.flags.c_contiguous or values.flags.f_contiguous):
-        # NumPy hands no unaligned operand to BLAS (an .hpd payload sits at
-        # an odd offset behind its header), and rows of a column-major block
-        # are in neither order: copy this panel, column by column
-        values = np.array(values, order="F")
+    if not values.flags.aligned or 8 not in values.strides:
+        values = np.array(values, order="K")
     return block._part(values, space)
 
 
@@ -537,19 +537,14 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     spread = spread or _pooled_spread()
     rows, cols = x.values.shape
     panels = _row_panels(rows, cols)
-    if len(panels) == 1:
-        whole = _panel(x, 0, rows)
+    # each panel's space (a slice of the weights) is built once and serves
+    # both passes; a single panel is also taken once
+    w = x.space.weights
+    spaces = [InnerProductSpace(b - a, None if w is None else w[a:b]) for a, b in panels]
+    whole = _panel(x, 0, rows, spaces[0]) if len(panels) == 1 else None
 
-        def panel(p):
-            return whole
-    else:
-        # each panel's space (a slice of the weights) is built once and
-        # serves both passes
-        w = x.space.weights
-        spaces = [InnerProductSpace(b - a, None if w is None else w[a:b]) for a, b in panels]
-
-        def panel(p):
-            return _panel(x, *panels[p], spaces[p])
+    def panel(p):
+        return whole if whole is not None else _panel(x, *panels[p], spaces[p])
 
     g = None
 

@@ -54,8 +54,7 @@ class TreeMaps:
     ``subtree_nodes[v]`` lists v and then its descendants, children in
     child-list order.  It is built from ``post_order`` and ``parent`` on
     first read and kept: it holds O(nodes x depth) entries, which for a long
-    chain dwarfs every other field, and only error bounds and verification
-    read it.
+    chain dwarfs every other field, and only verification reads it.
     """
 
     leaves: tuple[int, ...]

@@ -225,6 +225,17 @@ class TestRun:
         assert "Traceback" not in err
         assert not (out / "modes.hpd").exists()
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_exit_before_the_set_up(self, synthetic_file, tmp_path, capsys,
+                                                      workers):
+        out = tmp_path / "o"
+        assert run_cli("run", synthetic_file, "--out", out, "--eps-star", 0.01,
+                       "--workers", workers, "--topology", "star", "--blocks", 2) == 1
+        err = capsys.readouterr().err
+        assert "--workers" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_balanced_run_with_passthrough_leaves_verifies(self, tmp_path, capsys):
         # rows scaled down to exp(-4.7): the 60 x 20 leaves keep all their
         # columns at a tolerance of about 0.15, the root truncates

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import hapod.parallel
 from hapod import (
     IncrementalSession,
     InnerProductSpace,
@@ -131,7 +132,9 @@ class TestDistributeColumns:
         assert sorted(leaves.counts().values()) == [5, 10, 10]
 
     def test_leaves_are_not_scanned_again(self, monkeypatch):
-        block = SnapshotBlock(InnerProductSpace(3), np.arange(3.0 * 12).reshape(3, 12, order="F"))
+        # leaves are views in either memory order
+        blocks = [SnapshotBlock(InnerProductSpace(3), np.arange(3.0 * 12).reshape(3, 12, order=order))
+                  for order in ("F", "C")]
         scans = []
         real_check = SnapshotBlock.__post_init__
 
@@ -140,11 +143,12 @@ class TestDistributeColumns:
             real_check(b)
 
         monkeypatch.setattr(SnapshotBlock, "__post_init__", counting_check)
-        leaves = distribute_columns(build_star(4), block)
-        assert scans == []
-        for leaf in leaves.blocks.values():
-            assert np.shares_memory(leaf.values, block.values)
-            assert not leaf.values.flags.writeable
+        for block in blocks:
+            leaves = distribute_columns(build_star(4), block)
+            assert scans == []
+            for leaf in leaves.blocks.values():
+                assert np.shares_memory(leaf.values, block.values)
+                assert not leaf.values.flags.writeable
 
     def test_rejects_bad_partitions(self):
         space = InnerProductSpace(2)
@@ -176,6 +180,30 @@ class TestErrorBound:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             error_bound(build_star(2), ToleranceAssignment((0.1, 0.2)))
+
+    def test_run_leaves_the_subtree_table_unbuilt(self, monkeypatch):
+        # the table holds O(nodes x depth) entries: on a long chain it would
+        # dwarf the run itself
+        tree = build_chain(300)
+        block = SnapshotBlock(InnerProductSpace(8), np.random.default_rng(2).standard_normal((8, 300)))
+        leaves = distribute_columns(tree, block, block_size=1)
+        tol = assign_tolerances(tree, leaves, 0.1, 0.75)
+        seen = []
+        real = hapod.parallel.derive_maps
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(hapod.parallel, "derive_maps", spy)
+        result = run_hapod(tree, leaves, tol)
+        maps, = seen
+        assert "subtree_nodes" not in maps.__dict__
+        table = math.sqrt(sum(tol.epsilons[u] ** 2 for u in maps.subtree_nodes[tree.root]))
+        assert result.apriori_error_bound == pytest.approx(table, rel=1e-12)
+        for v in (tree.children[tree.root][0], maps.leaf_order[0]):
+            table = math.sqrt(sum(tol.epsilons[u] ** 2 for u in maps.subtree_nodes[v]))
+            assert error_bound(tree, tol, node=v) == pytest.approx(table, rel=1e-12)
 
 
 class TestActualMeanError:

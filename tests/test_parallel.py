@@ -2,6 +2,7 @@ import importlib
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -30,6 +31,7 @@ from hapod import (
     run_parallel,
     synthetic_decay,
 )
+from hapod.io import load_snapshots, write_matrix
 from hapod.parallel import _pooled_spread
 from helpers import random_case
 
@@ -350,3 +352,30 @@ class TestPeakResidentModes:
         tol = ToleranceAssignment((0.0,) * tree.node_count)
         _, stats = run_parallel(tree, leaves, tol)
         assert stats.peak_resident_modes == 18
+
+
+class TestMappedChainMemory:
+    def test_passthrough_leaves_stay_in_the_map(self, tmp_path):
+        # the paper's incremental setting: zero-tolerance leaves of a mapped
+        # file hand their columns up as they are, so leaves that run ahead
+        # of the serial merges on a second worker hold no copies
+        path = tmp_path / "tall.hpd"
+        write_matrix(path, synthetic_decay(4000, 400, 0.05, seed=0).values)
+        block = load_snapshots(path)
+        tree = build_chain(10)
+        leaves = distribute_columns(tree, block, block_size=40)
+        maps = derive_maps(tree, leaves.counts())
+        tol = assign_tolerances(tree, leaves, 1e-2, 0.75, zero_leaf_tolerance=True)
+        first = maps.leaf_order[0]
+        out, _, _ = hapod.hierarchy.evaluate_node(tree, maps, first, tol, None, leaves, [], False)
+        assert not out.orthonormal
+        assert np.shares_memory(out.modes, block.values)
+        peaks = {}
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                run_parallel(tree, leaves, tol, worker_count=workers)
+                peaks[workers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= peaks[1] + leaves.blocks[first].values.nbytes

@@ -345,6 +345,42 @@ class TestUnalignedInput:
         assert np.array_equal(out.modes, ref.modes)
 
 
+class TestMemoryLayout:
+    def test_only_what_blas_cannot_read_is_copied(self, tmp_path, monkeypatch):
+        # NumPy hands BLAS aligned operands with one unit stride: those
+        # reach the Gramian as the caller's array, the rest are copied
+        rng = np.random.default_rng(73)
+        values = rng.standard_normal((300, 12)) @ rng.standard_normal((12, 160)) \
+            + 1e-3 * rng.standard_normal((300, 160))
+        path = tmp_path / "tall.hpd"
+        write_matrix(path, values[:, :80])
+        inputs = [
+            (values[:, 20:100], True),                 # columns of a row-major array
+            (np.asfortranarray(values)[40:260], True),  # rows of an aligned column-major one
+            (load_snapshots(path).values, False),      # unaligned map
+            (values[:, ::2], False),                   # no unit stride
+        ]
+        real, seen = POD.gramian, []
+
+        def spy(b):
+            seen.append(b.values)
+            return real(b)
+
+        for source, direct in inputs:
+            space = euclid(source.shape[0])
+            ref = pod(SnapshotBlock(space, np.array(source, order="K")), 0.05, want_right=True)
+            seen.clear()
+            monkeypatch.setattr(POD, "gramian", spy)
+            out = pod(SnapshotBlock(space, source), 0.05, want_right=True)
+            monkeypatch.undo()
+            assert len(seen) == 1
+            assert np.shares_memory(seen[0], source) == direct
+            assert seen[0].flags.aligned and 8 in seen[0].strides
+            assert 0 < out.count < source.shape[1]
+            for a, b in ((out.sigmas, ref.sigmas), (out.modes, ref.modes), (out.right, ref.right)):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestRowPanels:
     def test_panels_follow_the_shape_only(self):
         for d, m in [(1, 1), (50, 7), (20000, 100), (20000, 470), (10**6, 3), (5, 10**6)]:
