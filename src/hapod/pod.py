@@ -24,7 +24,12 @@ parts (`SnapshotBlock._stack`), whose rows are written only when a panel of
 a tall block asks for them, so the stacked input of a tall node is never
 held whole.  Blocks and mode sets hold a read-only view of the caller's array
 in its memory order, so the array must not change while they are in use;
-only `_panel` copies, a panel BLAS cannot read.
+only `_blas_ready` copies, rows BLAS cannot read.
+
+The eigendecomposition is LAPACK's divide and conquer, written over the
+Gramian, which must be finite.  Eigenvectors and singular vectors come out
+orthonormal; only the modes X psi / sigma of a tall block drift, by about
+u * sigma_1^2 / sigma_r^2, and one Cholesky step of their Gramian restores them.
 
 Everything works in R^d equipped with an optional strictly positive diagonal
 weight vector; without weights the inner product is the Euclidean one.
@@ -127,7 +132,7 @@ class InnerProductSpace:
 class SnapshotBlock:
     """A d x m column block of snapshots living in one space.  ``values`` is
     a read-only view of the caller's array in its memory order, so the array
-    must not change while the block is in use; only `_panel` copies."""
+    must not change while the block is in use; only `_blas_ready` copies."""
 
     space: InnerProductSpace
     values: np.ndarray
@@ -194,6 +199,15 @@ class _ColumnStack:
 
     def __array__(self, dtype=None, copy=None):
         return self[:]
+
+    def times(self, rows: slice, coef: np.ndarray, out: np.ndarray):
+        """Add self[rows] @ coef to out without writing those rows: each
+        part's rows times its rows of coef, with the part's scale folded in."""
+        at = 0
+        for a, scale in self.parts:
+            c = coef[at : at + a.shape[1]]
+            at += a.shape[1]
+            out += _blas_ready(a[rows]) @ (c if scale is None else scale[:, None] * c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,38 +301,39 @@ def gramian(block: SnapshotBlock) -> np.ndarray:
     return g
 
 
-def _fix_signs(modes: np.ndarray, right: np.ndarray | None):
-    """Deterministic sign convention: largest-magnitude entry of each mode positive."""
+def _fix_signs(modes: np.ndarray, right: np.ndarray | None, owned: bool = False):
+    """Deterministic sign convention: largest-magnitude entry of each mode
+    positive, the first one where +a and -a are both largest.  With `owned`,
+    an array that owns its memory (one `pod` made) is scaled in place; any
+    other comes back as a scaled C-ordered copy."""
     if modes.shape[1] == 0:
         return modes, right
-    pick = np.argmax(np.abs(modes), axis=0)
-    signs = np.sign(modes[pick, np.arange(modes.shape[1])])
-    signs[signs == 0.0] = 1.0
-    # C order whatever the layout of the eigenvectors they came from
-    modes = np.multiply(modes, signs[None, :], order="C")
-    if right is not None:
-        right = np.multiply(right, signs[None, :], order="C")
-    return modes, right
+    top, low = modes.max(axis=0), -modes.min(axis=0)
+    signs = np.where(top < low, -1.0, 1.0)
+    for j in np.flatnonzero(top == low):
+        col = modes[:, j]
+        signs[j] = -1.0 if col[np.argmax(np.abs(col))] < 0.0 else 1.0
+
+    def scale(a):
+        return np.multiply(a, signs, out=a) if owned and a.flags.owndata else np.multiply(a, signs, order="C")
+
+    return scale(modes), None if right is None else scale(right)
 
 
-def _reorthonormalize(modes: np.ndarray, space: InnerProductSpace) -> np.ndarray:
-    """One QR in the space's Euclidean coordinates, column orientations kept."""
-    q, r = np.linalg.qr(space.weigh(modes))
-    q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)[None, :]
-    return space.unweigh(q)
-
-
-def _finish_modes(modes, right, space):
-    # Re-orthonormalize only when the mode Gramian actually drifted; one QR
-    # is enough because the drift comes from clustered eigenvalues, not from
-    # loss of rank.
+def _finish_modes(modes, right, space, drifts=True, owned=False):
+    # Only the method of snapshots' modes S psi / sigma drift from
+    # orthonormal, by about u * sigma_1^2 / sigma_r^2 (up to 2.4e-5 on a
+    # Burgers chain); eigenvectors and singular vectors are orthonormal as
+    # they come, so their Gramian is never formed.  One Cholesky step
+    # Phi L^-T, g = L L^T, restores orthonormality to rounding and keeps each
+    # column's orientation (L has a positive diagonal); it fails when the
+    # modes lost rank.
     n = modes.shape[1]
-    if n:
+    if drifts and n:
         g = space.gram(modes, modes)
-        off = g - np.eye(n)
-        if np.max(np.abs(off)) > 1e-8:
-            modes = _reorthonormalize(modes, space)
-    return _fix_signs(modes, right)
+        if np.max(np.abs(g - np.eye(n))) > 1e-12:
+            modes = modes @ scipy.linalg.solve_triangular(np.linalg.cholesky(g), np.eye(n), lower=True).T
+    return _fix_signs(modes, right, owned)
 
 
 def _empty_mode_set(space, want_right, input_count=0, tail_energy=0.0):
@@ -352,12 +367,13 @@ def _above_floor(values: np.ndarray, factor: float) -> np.ndarray:
     return values[values >= factor * values[0]]
 
 
-def _from_spectrum(lam, assemble, space, epsilon, m, want_right, total):
+def _from_spectrum(lam, assemble, space, epsilon, m, want_right, total, drifts=False):
     """Shared truncation logic.  lam are the squared singular values that
     survived the noise cutoff, descending; total is the block's energy
     measured from its entries; assemble(rank, sig) must return the first rank
     modes as a d x rank array and their right vectors (m x rank, or None when
-    not wanted)."""
+    not wanted), arrays `pod` may scale in place; drifts says that the modes
+    need the orthonormality check of `_finish_modes`."""
     if not lam.size:
         return _empty_mode_set(space, want_right, input_count=m)
     sig = np.sqrt(lam)
@@ -369,12 +385,14 @@ def _from_spectrum(lam, assemble, space, epsilon, m, want_right, total):
         rank = 1
     tail = float(np.sum(lam[rank:]))
     modes, right = assemble(rank, sig[:rank])
-    modes, right = _finish_modes(modes, right, space)
+    modes, right = _finish_modes(modes, right, space, drifts, owned=True)
     return ModeSet(space, sig[:rank], modes, orthonormal=True, tail_energy=tail, right=right)
 
 
-def _descending_eigh(a: np.ndarray):
-    lam, vec = scipy.linalg.eigh(a)
+def _descending_eigh(g: np.ndarray):
+    """Eigenpairs of the C-ordered symmetric g, largest first.  g.T is g in
+    Fortran order, so divide and conquer writes the eigenvectors over it."""
+    lam, vec = scipy.linalg.eigh(g.T, driver="evd", overwrite_a=True, check_finite=False)
     return lam[::-1], vec[:, ::-1]
 
 
@@ -387,14 +405,17 @@ def _row_panels(d: int, m: int) -> list[tuple[int, int]]:
 
 
 def _panel(block: SnapshotBlock, a: int, b: int, space: InnerProductSpace | None = None) -> SnapshotBlock:
-    """Rows a:b of a block, over ``space`` (theirs), in memory BLAS can take:
-    the one copy of snapshot data.  NumPy hands BLAS only aligned operands
-    with a unit stride, so any other panel (an .hpd payload sits at an odd
-    offset behind its header) is copied, in its own memory order."""
-    values = block.values[a:b]
+    """Rows a:b of a block, over ``space`` (theirs), in memory BLAS can take."""
+    return block._part(_blas_ready(block.values[a:b]), space)
+
+
+def _blas_ready(values: np.ndarray) -> np.ndarray:
+    """The one copy of snapshot data.  NumPy hands BLAS only aligned operands
+    with a unit stride, so any other rows (an .hpd payload sits at an odd
+    offset behind its header) are copied, in their own memory order."""
     if not values.flags.aligned or 8 not in values.strides:
         values = np.array(values, order="K")
-    return block._part(values, space)
+    return values
 
 
 def _pooled_spread(pool=None, helpers: int = 0):
@@ -556,6 +577,10 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
             g += part
 
     spread(lambda p: gramian(panel(p)), len(panels), add)
+    total = float(np.trace(g))
+    if not np.isfinite(total):
+        # no entry of G exceeds its diagonal, so the trace shows any overflow
+        raise np.linalg.LinAlgError("snapshot Gramian overflows: entries too large to square")
     if pass_full and m <= d:
         try:  # succeeds only if every eigenvalue of G exceeds epsilon^2
             np.linalg.cholesky(g - epsilon * epsilon * np.eye(m))
@@ -563,17 +588,25 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
             pass
         else:
             return _passthrough(block, want_right)
-    total = float(np.trace(g))
     lam, psi = _descending_eigh(g)
     del g
 
+    # a stack of several panels is not written again: each part's rows are
+    # multiplied in place of the stacked rows
+    stack = x.values if isinstance(x.values, _ColumnStack) and whole is None else None
+
     def assemble(rank, sig):
+        coef = psi[:, :rank] / sig[None, :]
+
         def product():
-            out = np.empty((rows, rank))
+            out = np.zeros((rows, rank))
 
             def fill(p):
                 a, b = panels[p]
-                np.divide(panel(p).values @ psi[:, :rank], sig[None, :], out=out[a:b])
+                if stack is None:
+                    np.matmul(panel(p).values, coef, out=out[a:b])
+                else:
+                    stack.times(slice(a, b), coef, out[a:b])
 
             spread(fill, len(panels))
             return out
@@ -582,7 +615,8 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
             return product(), psi[:, :rank] if want_right else None
         return space.unweigh(psi[:, :rank]), product() if want_right else None
 
-    return _from_spectrum(_above_floor(lam, factor), assemble, space, epsilon, m, want_right, total)
+    return _from_spectrum(_above_floor(lam, factor), assemble, space, epsilon, m, want_right,
+                          total, drifts=m <= d)
 
 
 def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,

@@ -172,6 +172,21 @@ class TestRun:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_gramian_exits_numerics(self, tmp_path, capsys):
+        # finite entries whose squares overflow: a numerical failure, caught
+        # before any solver sees the infinite Gramian
+        path = tmp_path / "huge.hpd"
+        write_matrix(path, 1e160 * np.random.default_rng(3).standard_normal((30, 40)))
+        out = tmp_path / "huge"
+        code = run_cli("run", path, "--out", out, "--eps-star", 0.01,
+                       "--topology", "star", "--blocks", 2)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Gramian" in err
+        assert "Traceback" not in err
+        assert not (out / "modes.hpd").exists()
+
     def test_truncated_input_exits_usage(self, synthetic_file, tmp_path, capsys):
         raw = synthetic_file.read_bytes()
         synthetic_file.write_bytes(raw[:-8])

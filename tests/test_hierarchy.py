@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import hapod.hierarchy
 import hapod.parallel
 from hapod import (
     IncrementalSession,
@@ -28,6 +29,7 @@ from hapod import (
     run_hapod,
     synthetic_decay,
 )
+from hapod.datagen import BurgersConfig, burgers_snapshots
 from hapod.hierarchy import evaluate_node
 from hapod.io import load_snapshots, write_matrix
 from helpers import oracle_pod_count, random_case, span_residual_sq, stacked_leaf_columns
@@ -550,6 +552,29 @@ class TestPassthroughLeaves:
 
 
 class TestIncrementalSession:
+    def test_burgers_merges_come_out_orthonormal_without_householder(self, monkeypatch):
+        # the merges' modes S psi / sigma drift by up to u * sigma_1^2 /
+        # sigma_r^2; one Cholesky step of their Gramian, not a QR, mends them
+        data = burgers_snapshots(BurgersConfig(grid_size=200, step_count=2000,
+                                               spark_probability=1e-2, seed=5))
+        merged = []
+        for name in ("pod", "block_gramian_pod"):
+            real = getattr(hapod.hierarchy, name)
+            monkeypatch.setattr(hapod.hierarchy, name,
+                                lambda *a, real=real, **k: merged.append(real(*a, **k)) or merged[-1])
+        qr_calls = []
+        real_qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or real_qr(*a, **k))
+        session = IncrementalSession(1e-3, 0.75, planned_block_count=20)
+        for a in range(0, 2000, 100):
+            session.push(SnapshotBlock(data.space, data.values[:, a : a + 100]))
+        session.finalize()
+        merged = [ms for ms in merged if ms.orthonormal]
+        assert len(merged) == 19 and qr_calls == []
+        for ms in merged:
+            gram = data.space.gram(ms.modes, ms.modes)
+            assert np.max(np.abs(gram - np.eye(ms.count))) <= 1e-12
+
     def test_single_block_equals_flat_pod(self):
         rng = np.random.default_rng(43)
         block = SnapshotBlock(InnerProductSpace(9), rng.standard_normal((9, 14)))

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hapod import (
     InnerProductSpace,
@@ -20,7 +21,7 @@ from hapod import (
     truncation_rank,
 )
 from hapod.io import load_snapshots, write_matrix
-from hapod.pod import _finish_modes
+from hapod.pod import _ColumnStack, _finish_modes, _fix_signs
 from helpers import naive_rank, oracle_pod_count, span_residual_sq
 
 POD = importlib.import_module("hapod.pod")  # hapod.pod is the function
@@ -476,6 +477,32 @@ class TestRowPanels:
         assert np.array_equal(out.modes, ref.modes)
         assert np.array_equal(out.right, ref.right)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_panelled_stack_is_written_once(self, monkeypatch, weighted):
+        # the Gram pass writes each panel's stacked rows; the assembly
+        # multiplies the parts themselves, so no row is written twice
+        rng = np.random.default_rng(89)
+        dim = 600
+        weights = rng.uniform(0.5, 2.0, dim) if weighted else None
+        space = InnerProductSpace(dim, weights)
+        children = [pod(random_block(rng, dim, 15, weights), 2.0) for _ in range(3)]
+        fresh = random_block(rng, dim, 7, weights)
+        parts = [(ms.modes, ms.sigmas) for ms in children] + [(fresh.values, None)]
+        lazy = SnapshotBlock._stack(space, parts)
+        monkeypatch.setattr(POD, "BATCH_BYTES", 8 * lazy.count * 100)
+        panels = len(POD._row_panels(dim, lazy.count))
+        assert panels == 6
+        ref = pod(SnapshotBlock(space, np.asarray(lazy.values)), 0.5, want_right=True)
+
+        calls = []
+        real = _ColumnStack.__getitem__
+        monkeypatch.setattr(_ColumnStack, "__getitem__", lambda self, rows: calls.append(rows) or real(self, rows))
+        out = pod(lazy, 0.5, want_right=True)
+        assert len(calls) == panels
+        assert np.array_equal(out.sigmas, ref.sigmas)
+        assert np.allclose(out.modes, ref.modes, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref.modes)))
+        assert np.array_equal(out.right, ref.right)
+
 
 class TestFinishModes:
     def test_drifted_modes_are_reorthonormalized(self):
@@ -495,6 +522,84 @@ class TestFinishModes:
         # each mode keeps its orientation relative to its right vector
         flips = np.sign(np.diag(space.gram(modes, drifted)))
         assert np.array_equal(flips, np.sign(np.sum(right_out * right, axis=0)))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_drifted_modes_that_lost_rank_raise(self, weighted):
+        # the old Householder QR orthonormalized such a set without a word
+        rng = np.random.default_rng(67)
+        dim, n = 30, 6
+        weights = rng.uniform(0.5, 2.0, dim) if weighted else None
+        space = InnerProductSpace(dim, weights)
+        drifted = space.unweigh(scipy.linalg.orth(rng.standard_normal((dim, n))))
+        drifted += 1e-6 * rng.standard_normal((dim, n))
+        drifted[:, 4] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _finish_modes(drifted, None, space)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 9), cols=st.integers(1, 6),
+           fortran=st.booleans())
+    def test_signs_match_the_argmax_reference(self, data, rows, cols, fortran):
+        entries = st.one_of(st.integers(-3, 3).map(float),
+                            st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True))
+        modes = data.draw(arrays(np.float64, (rows, cols), elements=entries))
+        # exact +a / -a ties for the largest magnitude, and zero columns
+        for j in data.draw(st.sets(st.integers(0, cols - 1))):
+            if rows >= 2:
+                i, k = data.draw(st.permutations(range(rows)))[:2]
+                a = float(np.max(np.abs(modes[:, j]))) + data.draw(st.sampled_from([0.0, 1.0]))
+                modes[i, j], modes[k, j] = a, -a
+        for j in data.draw(st.sets(st.integers(0, cols - 1), max_size=1)):
+            modes[:, j] = data.draw(st.sampled_from([0.0, -0.0]))
+        if fortran:
+            modes = np.asfortranarray(modes)
+        right = data.draw(arrays(np.float64, (4, cols), elements=entries))
+
+        pick = np.argmax(np.abs(modes), axis=0)
+        signs = np.sign(modes[pick, np.arange(cols)])
+        signs[signs == 0.0] = 1.0
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.int64)
+
+        copies = modes.copy(order="K"), right.copy()
+        out, out_right = _fix_signs(modes, right)
+        assert np.array_equal(bits(out), bits(modes * signs))
+        assert np.array_equal(bits(out_right), bits(right * signs))
+        assert np.array_equal(bits(modes), bits(copies[0])) and np.array_equal(bits(right), bits(copies[1]))
+        # arrays pod made itself are scaled in place, to the same bits
+        own, own_right = _fix_signs(copies[0], copies[1], owned=True)
+        assert own is copies[0] and own_right is copies[1]
+        assert np.array_equal(bits(own), bits(out)) and np.array_equal(bits(own_right), bits(out_right))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("route", ["wide", "svd-tall", "svd-wide"])
+    def test_vectors_orthonormal_by_construction_form_no_mode_gramian(self, monkeypatch, route,
+                                                                       weighted):
+        rng = np.random.default_rng(71)
+        dim, cols = (40, 90) if route != "svd-tall" else (90, 40)
+        weights = rng.uniform(0.5, 2.0, dim) if weighted else None
+        block = spectrum_block(rng, dim, cols, np.exp(-0.3 * np.arange(30)), weights)
+        finishing, late = [], []
+        real_gram, real_finish = InnerProductSpace.gram, POD._from_spectrum
+
+        def gram(self, a, b):
+            if finishing:
+                late.append(a.shape)
+            return real_gram(self, a, b)
+
+        def from_spectrum(*args, **kwargs):
+            finishing.append(True)
+            return real_finish(*args, **kwargs)
+
+        monkeypatch.setattr(InnerProductSpace, "gram", gram)
+        monkeypatch.setattr(POD, "_from_spectrum", from_spectrum)
+        backend = PodBackend("gram" if route == "wide" else "svd")
+        out = pod(block, 1e-6, backend, want_right=True)
+        assert finishing and late == []
+        assert out.count > 20
+        drift = np.max(np.abs(real_gram(block.space, out.modes, out.modes) - np.eye(out.count)))
+        assert drift <= 1e-12
 
 
 class TestBlockGramianPod:
