@@ -241,11 +241,24 @@ def cmd_run(args) -> int:
         ("wall_time", wall),
     ]
     _write_kv(outdir / SUMMARY_FILE, summary)
+    target = args.eps_star**2
+    met = mean_error <= target
+    if met:
+        verdict = f"<= target {target:.6g}"
+    else:
+        # projecting onto no mode leaves the mean energy ||S||^2_W / m
+        no_modes = ModeSet(block.space, np.zeros(0), np.zeros((block.space.dimension, 0)))
+        floor = float(np.finfo(np.float64).eps) * actual_mean_error(block, no_modes, args.workers)
+        verdict = f"> target {target:.6g} (rounding floor u*||S||^2/m = {floor:.6g})"
     print(
         f"{result.mode_count} modes for {block.count} snapshots; "
-        f"mean error {mean_error:.6g} <= target {args.eps_star**2:.6g}; "
+        f"mean error {mean_error:.6g} {verdict}; "
         f"a-priori bound {result.apriori_error_bound:.6g}; outputs in {outdir}"
     )
+    if not met:
+        print("numerical failure: the mean error misses its target; outputs kept for verify",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

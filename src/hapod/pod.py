@@ -27,9 +27,18 @@ in its memory order, so the array must not change while they are in use;
 only `_blas_ready` copies, rows BLAS cannot read.
 
 The eigendecomposition is LAPACK's divide and conquer, written over the
-Gramian, which must be finite.  Eigenvectors and singular vectors come out
-orthonormal; only the modes X psi / sigma of a tall block drift, by about
-u * sigma_1^2 / sigma_r^2, and one Cholesky step of their Gramian restores them.
+Gramian, which must be finite.  A tall block's Gramian G is first factored by
+a pivoted Cholesky P^T G P = U^T U that stops once every remaining pivot is
+at most ``DEFAULT_GRAM_CUTOFF * max diag G``; the remainder is positive
+semidefinite with norm below the noise floor that truncation drops anyway.
+When U has q < m rows, the q x q matrix U U^T is eigendecomposed instead,
+U U^T = V Lambda V^T, and psi = P U^T V Lambda^(-1/2); PDE snapshots are
+numerically low rank, so q is often a fraction of m.  Such psi drift from
+orthonormal by about u * lambda_1 / lambda_r, and the modes X psi / sigma of
+every tall block by u * sigma_1^2 / sigma_r^2; one Cholesky step of their
+Gramian restores either, for the kept columns only.  A full-rank G and the
+correlation matrix of a wide block are solved whole; their eigenvectors come
+out orthonormal, as do singular vectors.
 
 Everything works in R^d equipped with an optional strictly positive diagonal
 weight vector; without weights the inner product is the Euclidean one.
@@ -56,7 +65,9 @@ __all__ = [
     "block_gramian_pod",
 ]
 
-#: Gramian eigenvalues below ``factor * lam_max * m`` count as numerical zeros.
+#: Gramian eigenvalues below ``factor * lam_max * m`` count as numerical zeros,
+#: and a tall Gramian's pivoted Cholesky stops at pivots below
+#: ``factor * max diag``, so what it leaves out stays under that floor.
 DEFAULT_GRAM_CUTOFF = 4.0 * float(np.finfo(np.float64).eps)
 
 #: Bytes per piece of a data pass: the row panels of a Gramian node (column
@@ -320,19 +331,25 @@ def _fix_signs(modes: np.ndarray, right: np.ndarray | None, owned: bool = False)
     return scale(modes), None if right is None else scale(right)
 
 
+def _mended(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The columns of a, whose Gramian is g, orthonormal again.  One Cholesky
+    step a L^-T, g = L L^T, restores orthonormality to rounding and keeps each
+    column's orientation (L has a positive diagonal); it fails when the
+    columns lost rank.  Columns within 1e-12 of orthonormal are kept as they are."""
+    n = a.shape[1]
+    if np.max(np.abs(g - np.eye(n)), initial=0.0) > 1e-12:
+        a = a @ scipy.linalg.solve_triangular(np.linalg.cholesky(g), np.eye(n), lower=True).T
+    return a
+
+
 def _finish_modes(modes, right, space, drifts=True, owned=False):
     # Only the method of snapshots' modes S psi / sigma drift from
     # orthonormal, by about u * sigma_1^2 / sigma_r^2 (up to 2.4e-5 on a
     # Burgers chain); eigenvectors and singular vectors are orthonormal as
-    # they come, so their Gramian is never formed.  One Cholesky step
-    # Phi L^-T, g = L L^T, restores orthonormality to rounding and keeps each
-    # column's orientation (L has a positive diagonal); it fails when the
-    # modes lost rank.
-    n = modes.shape[1]
-    if drifts and n:
-        g = space.gram(modes, modes)
-        if np.max(np.abs(g - np.eye(n))) > 1e-12:
-            modes = modes @ scipy.linalg.solve_triangular(np.linalg.cholesky(g), np.eye(n), lower=True).T
+    # they come (`_range_eigh` mends its reduced ones), so their Gramian is
+    # never formed.
+    if drifts and modes.shape[1]:
+        modes = _mended(modes, space.gram(modes, modes))
     return _fix_signs(modes, right, owned)
 
 
@@ -389,11 +406,46 @@ def _from_spectrum(lam, assemble, space, epsilon, m, want_right, total, drifts=F
     return ModeSet(space, sig[:rank], modes, orthonormal=True, tail_energy=tail, right=right)
 
 
-def _descending_eigh(g: np.ndarray):
-    """Eigenpairs of the C-ordered symmetric g, largest first.  g.T is g in
-    Fortran order, so divide and conquer writes the eigenvectors over it."""
+def _descending_eigh(g: np.ndarray, factor: float):
+    """Eigenvalues of the C-ordered symmetric g, largest first, cut at the
+    noise floor ``factor * lam_max``, and ``vectors(n)``, the first n
+    eigenvectors.  g.T is g in Fortran order, so divide and conquer writes
+    the eigenvectors over it."""
     lam, vec = scipy.linalg.eigh(g.T, driver="evd", overwrite_a=True, check_finite=False)
-    return lam[::-1], vec[:, ::-1]
+    vec = vec[:, ::-1]
+    return _above_floor(lam[::-1], factor), lambda n: vec[:, :n]
+
+
+def _range_eigh(g: np.ndarray, factor: float):
+    """`_descending_eigh` of the C-ordered m x m Gramian g, solved on its
+    numerical range.
+
+    LAPACK's pivoted Cholesky P^T g P = U^T U stops at the first pivot at
+    most tol = DEFAULT_GRAM_CUTOFF * max diag g.  Its remainder is positive
+    semidefinite with norm at most (m - q) * tol, below the floor, so when U
+    has q < m rows the q x q matrix U U^T = V Lambda V^T carries every
+    eigenvalue above it, with psi = P U^T V Lambda^(-1/2).  Those psi drift by
+    about u * lambda_1 / lambda_r, so each set asked for is mended.  The
+    factor is written over the lower triangle of g (the upper one of g.T),
+    and `_descending_eigh` reads only the upper one, so a full-rank g is
+    solved whole once its diagonal is put back, exactly as without the factor.
+    """
+    m = g.shape[0]
+    diag = np.diag(g).copy()
+    u, piv, q, _ = scipy.linalg.lapack.dpstrf(g.T, tol=DEFAULT_GRAM_CUTOFF * diag.max(), lower=0,
+                                              overwrite_a=1)
+    if q == m:
+        np.fill_diagonal(g, diag)
+        return _descending_eigh(g, factor)
+    u = np.triu(u[:q])
+    lam, small = _descending_eigh(u @ u.T, factor)
+
+    def vectors(n):
+        psi = np.empty((m, n))
+        psi[piv - 1] = u.T @ (small(n) / np.sqrt(lam[:n]))
+        return _mended(psi, psi.T @ psi)
+
+    return lam, vectors
 
 
 def _row_panels(d: int, m: int) -> list[tuple[int, int]]:
@@ -536,6 +588,9 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     if backend.kind == "svd":
         a = space.weigh(_panel(block, 0, d).values)
         total = float(np.vdot(a, a))
+        if not np.isfinite(total):
+            # the singular values would square to infinity in the truncation
+            raise np.linalg.LinAlgError("snapshot energy overflows: entries too large to square")
         u, s, vt = scipy.linalg.svd(a, full_matrices=False)
         s = _above_floor(s, factor)
 
@@ -588,7 +643,7 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
             pass
         else:
             return _passthrough(block, want_right)
-    lam, psi = _descending_eigh(g)
+    lam, vectors = (_range_eigh if m <= d else _descending_eigh)(g, factor)
     del g
 
     # a stack of several panels is not written again: each part's rows are
@@ -596,7 +651,8 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     stack = x.values if isinstance(x.values, _ColumnStack) and whole is None else None
 
     def assemble(rank, sig):
-        coef = psi[:, :rank] / sig[None, :]
+        psi = vectors(rank)
+        coef = psi / sig[None, :]
 
         def product():
             out = np.zeros((rows, rank))
@@ -612,11 +668,10 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
             return out
 
         if m <= d:
-            return product(), psi[:, :rank] if want_right else None
-        return space.unweigh(psi[:, :rank]), product() if want_right else None
+            return product(), psi if want_right else None
+        return space.unweigh(psi), product() if want_right else None
 
-    return _from_spectrum(_above_floor(lam, factor), assemble, space, epsilon, m, want_right,
-                          total, drifts=m <= d)
+    return _from_spectrum(lam, assemble, space, epsilon, m, want_right, total, drifts=m <= d)
 
 
 def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,

@@ -187,6 +187,39 @@ class TestRun:
         assert "Traceback" not in err
         assert not (out / "modes.hpd").exists()
 
+    def test_overflowing_energy_exits_numerics_on_svd(self, tmp_path, capsys):
+        # the SVD itself would return, but its sigmas square to infinity
+        path = tmp_path / "huge.hpd"
+        write_matrix(path, 1e160 * np.random.default_rng(3).standard_normal((30, 40)))
+        out = tmp_path / "huge"
+        code = run_cli("run", path, "--out", out, "--eps-star", 0.01,
+                       "--topology", "star", "--blocks", 2, "--backend", "svd")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "overflows" in err
+        assert "Traceback" not in err
+        assert not (out / "modes.hpd").exists()
+
+    @pytest.mark.parametrize("backend", ["gram", "svd"])
+    def test_missed_target_is_not_claimed(self, tmp_path, capsys, backend):
+        # at this scale the absolute target lies far below the rounding
+        # floor u * ||S||^2 / m, so no basis can meet it
+        path = tmp_path / "big.hpd"
+        write_matrix(path, 1e150 * np.random.default_rng(3).standard_normal((30, 40)))
+        out = tmp_path / "big"
+        code = run_cli("run", path, "--out", out, "--eps-star", 0.01,
+                       "--topology", "star", "--blocks", 2, "--backend", backend)
+        assert code == 3
+        said = capsys.readouterr()
+        assert "<= target" not in said.out
+        assert "> target 0.0001 (rounding floor u*||S||^2/m = " in said.out
+        assert "Traceback" not in said.err
+        summary = read_kv(out / "summary.txt")
+        assert float(summary["mean_error"]) > 1e-4
+        # the outputs stay for verify, which names the miss
+        assert run_cli("verify", out, path) == 2
+        assert "check mean-error: FAIL" in capsys.readouterr().out
+
     def test_truncated_input_exits_usage(self, synthetic_file, tmp_path, capsys):
         raw = synthetic_file.read_bytes()
         synthetic_file.write_bytes(raw[:-8])

@@ -11,13 +11,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hapod import (
+    BurgersConfig,
+    IncrementalSession,
     InnerProductSpace,
     ModeSet,
     PodBackend,
     SnapshotBlock,
+    assign_tolerances,
     block_gramian_pod,
+    build_chain,
+    burgers_snapshots,
+    distribute_columns,
     gramian,
     pod,
+    run_parallel,
     truncation_rank,
 )
 from hapod.io import load_snapshots, write_matrix
@@ -600,6 +607,122 @@ class TestFinishModes:
         assert out.count > 20
         drift = np.max(np.abs(real_gram(block.space, out.modes, out.modes) - np.eye(out.count)))
         assert drift <= 1e-12
+
+
+def burgers_data():
+    return burgers_snapshots(BurgersConfig(grid_size=500, step_count=3000,
+                                           spark_probability=1e-2, seed=5))
+
+
+@pytest.fixture(scope="module")
+def burgers_merges():
+    """(block, epsilon) of each merge of a session over a Burgers trajectory."""
+    data = burgers_data()
+    calls, real = [], POD.pod
+
+    def spy(block, epsilon, *args, **kwargs):
+        calls.append((block, epsilon))
+        return real(block, epsilon, *args, **kwargs)
+
+    with mock.patch.object(POD, "pod", spy):
+        session = IncrementalSession(1e-3, 0.75, planned_block_count=30)
+        for a in range(0, data.count, 100):
+            session.push(SnapshotBlock(data.space, data.values[:, a : a + 100]))
+        session.finalize()
+    assert len(calls) == 29
+    return data, calls
+
+
+@pytest.fixture
+def pivoted_ranks(monkeypatch):
+    """(m, q) of every pivoted Cholesky: q pivots above its tolerance."""
+    ranks, real = [], scipy.linalg.lapack.dpstrf
+
+    def spy(a, *args, **kwargs):
+        out = real(a, *args, **kwargs)
+        ranks.append((a.shape[0], out[2]))
+        return out
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", spy)
+    return ranks
+
+
+class TestRangeSolve:
+    """A tall Gramian is eigendecomposed on its numerical range: a pivoted
+    Cholesky stopped at the noise floor leaves q <= m columns."""
+
+    @pytest.mark.parametrize("source", ["slice", "weighted-slice", "merge"])
+    def test_reduced_solve_matches_the_full_solve(self, monkeypatch, pivoted_ranks, burgers_merges,
+                                                  source):
+        data, merges = burgers_merges
+        if source == "merge":
+            block, eps = merges[-1]
+        else:
+            weighted = source == "weighted-slice"
+            weights = np.random.default_rng(79).uniform(0.5, 2.0, 500) if weighted else None
+            block = SnapshotBlock(InnerProductSpace(500, weights), data.values[:, 1000:1150])
+            eps = 1e-6 * np.sqrt(np.sum(block.space.weigh(block.values) ** 2))
+        out = pod(block, eps, want_right=True)
+        ((m, q),) = pivoted_ranks
+        assert q < m == block.count
+        with monkeypatch.context() as patch:
+            # the whole Gramian, as without the factor
+            patch.setattr(POD, "_range_eigh", POD._descending_eigh)
+            ref = pod(block, eps, want_right=True)
+        assert out.count == ref.count > 1
+        floor = POD.DEFAULT_GRAM_CUTOFF * m * ref.sigmas[0] ** 2
+        assert np.max(np.abs(out.sigmas**2 - ref.sigmas**2)) <= floor
+        eye = np.eye(out.count)
+        assert np.max(np.abs(block.space.gram(out.modes, out.modes) - eye)) <= 1e-12
+        assert np.max(np.abs(out.right.T @ out.right - eye)) <= 1e-12
+        assert out.right.shape == (m, out.count)
+
+    def test_eigh_sees_the_numerical_range_of_a_merge(self, monkeypatch, pivoted_ranks,
+                                                      burgers_merges):
+        _, merges = burgers_merges
+        block, eps = merges[-1]
+        sizes, real = [], scipy.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            sizes.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        pod(block, eps)
+        ((m, q),) = pivoted_ranks
+        assert m == block.count and 3 * q < m
+        assert sizes == [(q, q)]
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("panels", [1, 3])
+    def test_full_rank_block_takes_the_full_solve(self, monkeypatch, pivoted_ranks, weighted,
+                                                  panels):
+        rng = np.random.default_rng(83)
+        dim, cols = 90, 40
+        weights = rng.uniform(0.5, 2.0, dim) if weighted else None
+        block = spectrum_block(rng, dim, cols, np.exp(-0.2 * np.arange(cols)), weights)
+        monkeypatch.setattr(POD, "BATCH_BYTES", -(-8 * dim * cols // panels))
+        assert len(POD._row_panels(dim, cols)) == panels
+        out = pod(block, 1e-3, want_right=True)
+        assert pivoted_ranks == [(cols, cols)]
+        monkeypatch.setattr(POD, "_range_eigh", POD._descending_eigh)
+        ref = pod(block, 1e-3, want_right=True)
+        for a, b in [(out.sigmas, ref.sigmas), (out.modes, ref.modes), (out.right, ref.right)]:
+            assert np.array_equal(a, b)
+
+    def test_low_rank_chain_is_bit_identical_across_workers(self, pivoted_ranks):
+        data = burgers_data()
+        tree = build_chain(15)
+        leaves = distribute_columns(tree, data, block_size=200)
+        tol = assign_tolerances(tree, leaves, 1e-3, 0.75)
+        runs = [run_parallel(tree, leaves, tol, worker_count=w)[0] for w in (1, 2, 3)]
+        assert any(q < m for m, q in pivoted_ranks)
+        first = runs[0]
+        for other in runs[1:]:
+            assert np.array_equal(other.modes.sigmas, first.modes.sigmas)
+            assert np.array_equal(other.modes.modes, first.modes.modes)
+            counts = [[r.output_mode_count for r in run.reports] for run in (first, other)]
+            assert counts[0] == counts[1]
 
 
 class TestBlockGramianPod:
