@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pod import BATCH_BYTES, InnerProductSpace, ModeSet, PodBackend, SnapshotBlock, block_gramian_pod, pod
+from .pod import (BATCH_BYTES, InnerProductSpace, ModeSet, PodBackend, SnapshotBlock, _leaf_pod, _stack_part,
+                  block_gramian_pod, pod)
 from .tree import RootedTree, TreeMaps, build_chain, derive_maps
 
 __all__ = [
@@ -231,13 +232,17 @@ def error_bound(tree: RootedTree, tol: ToleranceAssignment, node: int | None = N
 
 def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet, worker_count: int = 1) -> float:
     """Measured (1/m) * sum_j ||s_j - P s_j||^2 with P the orthogonal projection
-    onto the span of the modes.  Computed from explicit residuals, in batches
-    of about `BATCH_BYTES` of columns, so the residual never needs a full
-    d x m copy.  The batches run on worker_count threads and add up in batch
-    order, so the value does not depend on worker_count.  Each worker copies
-    its batch into one aligned row-major buffer of its own (BLAS takes no
-    slice of an unaligned .hpd map) and overwrites it with the residual an
-    eighth of the rows at a time, so a worker holds about one batch."""
+    onto the span of the modes U, in batches of about `BATCH_BYTES` of
+    columns.  Each worker copies its batch S_b into one aligned row-major
+    buffer of its own (BLAS takes no slice of an unaligned .hpd map), and for
+    orthonormal U the batch's error is ||S_b||^2_W - ||U^T W S_b||^2_F, one
+    product.  That difference carries a rounding error of a few
+    u * ||S_b||^2_W, so a batch whose difference falls below 1e-3 *
+    ||S_b||^2_W, where that error could exceed 1e-12 of it, is measured again
+    from its explicit residual, written over the buffer an eighth of the rows
+    at a time; a worker holds about one batch either way.  The batches run on
+    worker_count threads and add up in batch order, so the value does not
+    depend on worker_count."""
     if not modes.orthonormal:
         raise ValueError("projection needs orthonormal modes (got a passthrough set)")
     if not snapshots.space.same_as(modes.space):
@@ -257,10 +262,15 @@ def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet, worker_count: in
         chunk = snapshots.values[:, a : a + batch]
         resid = buffers.batch[: chunk.size].reshape(chunk.shape)
         np.copyto(resid, chunk)
-        if modes.count:
-            coef = space.gram(modes.modes, resid)
-            for r in range(0, d, rows):
-                np.subtract(resid[r : r + rows], modes.modes[r : r + rows] @ coef, out=resid[r : r + rows])
+        whole = float(np.sum(space.norms_sq(resid)))
+        if not modes.count:
+            return whole
+        coef = space.gram(modes.modes, resid)
+        left = whole - float(np.vdot(coef, coef))
+        if left >= 1e-3 * whole:
+            return left
+        for r in range(0, d, rows):
+            np.subtract(resid[r : r + rows], modes.modes[r : r + rows] @ coef, out=resid[r : r + rows])
         return float(np.sum(space.norms_sq(resid)))
 
     total = 0.0
@@ -292,14 +302,17 @@ def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAss
                   spread=None):
     """POD step for one node given its children's outputs.
 
-    child_results is a list of (ModeSet, cumulative right factor or None) in
-    child-list order.  An interior node decomposes its children's scaled
-    modes side by side as one stacked block, whose rows are written only
-    when a row panel of the POD asks for them, so the stacked input is never
-    held whole; a passthrough child stacks unscaled.  A leaf below the root
-    that would keep every column passes it on (``pass_full``).  spread runs
-    the panels (see `pod`).  Returns (ModeSet, cumulative right factor or
-    None, NodeReport).
+    child_results is a list of (node output, cumulative right factor or None)
+    in child-list order.  An interior node decomposes its children's outputs
+    side by side as one stacked block, whose rows are written only when a
+    row panel of the POD asks for them, so the stacked input is never held
+    whole.  A leaf below the root hands its parent a view of its own columns
+    (`_leaf_pod`): unscaled when it would keep every column, and on the tall
+    "gram" route, when it truncates, with its k right vectors psi as the
+    coefficient block, S psi being its scaled modes, which are never formed.
+    Every other node returns a `ModeSet`; the root's modes are orthonormal.
+    spread runs the panels (see `pod`).  Returns (node output, cumulative
+    right factor or None, NodeReport).
     """
     eps = tol.epsilons[node]
     started = time.perf_counter()
@@ -307,11 +320,11 @@ def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAss
     if leaf:
         block = leaves.blocks[node]
     else:
-        parts = [(ms.modes, ms.sigmas if ms.orthonormal else None) for ms, _ in child_results]
-        block = SnapshotBlock._stack(leaves.space, parts)
-    # the root's modes must be orthonormal
-    out = pod(block, eps, backend, want_right=track, spread=spread,
-              pass_full=leaf and node != tree.root)
+        block = SnapshotBlock._stack(leaves.space, [_stack_part(kid) for kid, _ in child_results])
+    if leaf and node != tree.root:
+        out = _leaf_pod(block, eps, backend, track, spread)
+    else:
+        out = pod(block, eps, backend, want_right=track, spread=spread)
     lhat = out.right if track else None
     if track and not leaf:
         # block_diag(child factors) @ out.right, one child's rows at a time

@@ -28,9 +28,13 @@ class ExecStats:
 
     critical_path_time is the longest root-to-leaf sum of node wall times,
     total_node_time the sum of all node wall times (both from the node
-    reports).  peak_resident_modes is the largest number of mode columns
+    reports).  peak_resident_modes is the largest number of output columns
     that node outputs held at once in this run, counted when each node
-    finishes and before its children's outputs are released.
+    finishes and before its children's outputs are released.  It counts
+    columns, not bytes: a leaf output below the root holds no column of its
+    own (it is a view of the leaf's input, see `evaluate_node`) yet counts
+    its width, and with several workers the count depends on the order in
+    which nodes happen to finish.
     """
 
     critical_path_time: float

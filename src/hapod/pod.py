@@ -19,12 +19,16 @@ X_p psi / sigma are assembled a panel at a time.  The panels depend on the
 block's shape only, so the result does not depend on which threads run
 them: other threads may run panels, but the calling thread alone adds their
 partial Gramians, in panel order (`_pooled_spread`).  A block of one panel
-takes exactly the unpanelled route.  A block may be a stack of column-scaled
-parts (`SnapshotBlock._stack`), whose rows are written only when a panel of
-a tall block asks for them, so the stacked input of a tall node is never
-held whole.  Blocks and mode sets hold a read-only view of the caller's array
-in its memory order, so the array must not change while they are in use;
-only `_blas_ready` copies, rows BLAS cannot read.
+takes exactly the unpanelled route.  A block may be a stack of parts (A, R)
+(`SnapshotBlock._stack`): R is None for raw columns A, a column scale for
+scaled modes, or a coefficient matrix for a leaf kept factored as its own
+columns A and right vectors R = psi, whose scaled modes sigma phi = A psi are
+never formed (`_leaf_pod`).  A panel of a tall stack writes A[rows] R only
+for its own rows, so the stacked input of a tall node is never held whole,
+and the assembly folds R into its coefficients instead of writing them
+again.  Blocks and mode sets hold a read-only view of the caller's array in
+its memory order, so the array must not change while they are in use; only
+`_blas_ready` copies, rows BLAS cannot read.
 
 The eigendecomposition is LAPACK's divide and conquer, written over the
 Gramian, which must be finite.  A tall block's Gramian G is first factored by
@@ -156,9 +160,7 @@ class SnapshotBlock:
             raise ValueError(
                 f"snapshot rows {v.shape[0]} do not match space dimension {self.space.dimension}"
             )
-        # min and max propagate NaN and expose infinities without a
-        # temporary the size of the block
-        if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
+        if not _all_finite(v):
             raise ValueError("snapshot block contains non-finite entries")
         object.__setattr__(self, "values", _read_only(v))
 
@@ -169,13 +171,35 @@ class SnapshotBlock:
 
     @staticmethod
     def _stack(space: InnerProductSpace, parts) -> "SnapshotBlock":
-        """The block [s_1 * A_1 | s_2 * A_2 | ...] of already-checked parts
-        (A_i, s_i), s_i a column scale or None; see `_ColumnStack`."""
+        """The block [A_1 R_1 | A_2 R_2 | ...] of already-checked parts
+        (A_i, R_i), R_i None, a column scale or a coefficient matrix; see
+        `_ColumnStack`."""
         return _unchecked(space, _ColumnStack(parts))
 
     @property
     def count(self) -> int:
         return self.values.shape[1]
+
+
+#: Bytes per chunk of the finiteness check, small enough to stay in cache
+#: between its two reductions.
+_CHECK_BYTES = 2**20
+
+
+def _all_finite(v: np.ndarray) -> bool:
+    """Whether every entry of the 2-d v is finite.  min and max propagate NaN
+    and expose infinities without a temporary the size of v; they run chunk
+    by chunk of about `_CHECK_BYTES` along the slow axis, so the second one
+    reads the chunk from cache, not from memory or the file behind a map."""
+    if not v.size:
+        return True
+    slow = 0 if abs(v.strides[0]) >= abs(v.strides[1]) else 1
+    step = max(1, _CHECK_BYTES // (8 * v.shape[1 - slow]))
+    for a in range(0, v.shape[slow], step):
+        chunk = v[a : a + step] if slow == 0 else v[:, a : a + step]
+        if not (np.isfinite(chunk.min()) and np.isfinite(chunk.max())):
+            return False
+    return True
 
 
 def _unchecked(space, values) -> SnapshotBlock:
@@ -186,25 +210,28 @@ def _unchecked(space, values) -> SnapshotBlock:
 
 
 class _ColumnStack:
-    """The d x n values [s_1 * A_1 | s_2 * A_2 | ...] of a stacked block,
-    never held whole: a row slice writes only its own rows (C order), and
-    ``np.asarray`` writes them all for the routes that need the whole."""
+    """The d x n values [A_1 R_1 | A_2 R_2 | ...] of a stacked block, where
+    R_i is None (A_i as it is), a column scale (A_i diag(R_i)) or a
+    coefficient matrix (the product A_i @ R_i).  They are never held whole: a
+    row slice writes only its own rows (C order), and ``np.asarray`` writes
+    them all for the routes that need the whole."""
 
     def __init__(self, parts):
-        self.parts = list(parts)
-        self.shape = (self.parts[0][0].shape[0], sum(a.shape[1] for a, _ in self.parts))
+        self.parts = [(a, r, a.shape[1] if r is None or r.ndim == 1 else r.shape[1]) for a, r in parts]
+        self.shape = (self.parts[0][0].shape[0], sum(k for _, _, k in self.parts))
         self.nbytes = 8 * self.shape[0] * self.shape[1]
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         start, stop, _ = rows.indices(self.shape[0])
         out = np.empty((stop - start, self.shape[1]))
         at = 0
-        for a, scale in self.parts:
-            k = a.shape[1]
-            if scale is None:
+        for a, r, k in self.parts:
+            if r is None:
                 out[:, at : at + k] = a[rows]
+            elif r.ndim == 1:
+                np.multiply(a[rows], r[None, :], out=out[:, at : at + k])
             else:
-                np.multiply(a[rows], scale[None, :], out=out[:, at : at + k])
+                np.matmul(_blas_ready(a[rows]), r, out=out[:, at : at + k])
             at += k
         return out
 
@@ -213,12 +240,14 @@ class _ColumnStack:
 
     def times(self, rows: slice, coef: np.ndarray, out: np.ndarray):
         """Add self[rows] @ coef to out without writing those rows: each
-        part's rows times its rows of coef, with the part's scale folded in."""
+        part's rows times its rows of coef, with the part's R folded in."""
         at = 0
-        for a, scale in self.parts:
-            c = coef[at : at + a.shape[1]]
-            at += a.shape[1]
-            out += _blas_ready(a[rows]) @ (c if scale is None else scale[:, None] * c)
+        for a, r, k in self.parts:
+            c = coef[at : at + k]
+            at += k
+            if r is not None:
+                c = r[:, None] * c if r.ndim == 1 else r @ c
+            out += _blas_ready(a[rows]) @ c
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,6 +290,33 @@ class ModeSet:
     def scaled(self) -> np.ndarray:
         """Columns sigma_n * phi_n, the snapshots fed to the parent node."""
         return self.modes * self.sigmas[None, :]
+
+
+@dataclass(frozen=True, eq=False)
+class _Factored:
+    """The POD of a leaf kept factored for its parent (`_leaf_pod`): its
+    scaled modes sigma_n phi_n are the columns of ``columns @ right``, never
+    formed.  ``columns`` is the leaf's block values, a view of the caller's
+    array; ``right`` holds the k right vectors psi (m x k, orthonormal);
+    ``sigmas`` and ``tail_energy`` are as in `ModeSet`."""
+
+    columns: np.ndarray
+    right: np.ndarray
+    sigmas: np.ndarray
+    tail_energy: float
+
+    @property
+    def count(self) -> int:
+        return self.sigmas.size
+
+
+def _stack_part(out) -> tuple:
+    """The part (A, R) of `SnapshotBlock._stack` that feeds a node output to
+    its parent: a factored leaf's columns and right vectors, a passthrough
+    set's raw columns, or modes scaled by their sigmas."""
+    if isinstance(out, _Factored):
+        return out.columns, out.right
+    return out.modes, out.sigmas if out.orthonormal else None
 
 
 @dataclass(frozen=True)
@@ -384,15 +440,10 @@ def _above_floor(values: np.ndarray, factor: float) -> np.ndarray:
     return values[values >= factor * values[0]]
 
 
-def _from_spectrum(lam, assemble, space, epsilon, m, want_right, total, drifts=False):
-    """Shared truncation logic.  lam are the squared singular values that
-    survived the noise cutoff, descending; total is the block's energy
-    measured from its entries; assemble(rank, sig) must return the first rank
-    modes as a d x rank array and their right vectors (m x rank, or None when
-    not wanted), arrays `pod` may scale in place; drifts says that the modes
-    need the orthonormality check of `_finish_modes`."""
-    if not lam.size:
-        return _empty_mode_set(space, want_right, input_count=m)
+def _truncation(lam, epsilon, total, m):
+    """The kept sigmas and the discarded tail energy of a block of m columns
+    whose squared singular values above the noise cutoff are lam, descending,
+    and whose energy measured from its entries is total."""
     sig = np.sqrt(lam)
     rank = truncation_rank(sig, epsilon)
     # lam sums to the block's energy only up to the solver's rounding, so a
@@ -400,10 +451,21 @@ def _from_spectrum(lam, assemble, space, epsilon, m, want_right, total, drifts=F
     # the measured energy, with room for its own rounding, fits the budget
     if rank == 0 and total * (1.0 + DEFAULT_GRAM_CUTOFF * m) > epsilon * epsilon:
         rank = 1
-    tail = float(np.sum(lam[rank:]))
-    modes, right = assemble(rank, sig[:rank])
+    return sig[:rank], float(np.sum(lam[rank:]))
+
+
+def _from_spectrum(lam, assemble, space, epsilon, m, want_right, total, drifts=False):
+    """Shared truncation logic (`_truncation`).  assemble(rank, sig) must
+    return the first rank modes as a d x rank array and their right vectors
+    (m x rank, or None when not wanted), arrays `pod` may scale in place;
+    drifts says that the modes need the orthonormality check of
+    `_finish_modes`."""
+    if not lam.size:
+        return _empty_mode_set(space, want_right, input_count=m)
+    sig, tail = _truncation(lam, epsilon, total, m)
+    modes, right = assemble(sig.size, sig)
     modes, right = _finish_modes(modes, right, space, drifts, owned=True)
-    return ModeSet(space, sig[:rank], modes, orthonormal=True, tail_energy=tail, right=right)
+    return ModeSet(space, sig, modes, orthonormal=True, tail_energy=tail, right=right)
 
 
 def _descending_eigh(g: np.ndarray, factor: float):
@@ -584,7 +646,6 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
         return _empty_mode_set(block.space, want_right)
     space = block.space
     d = space.dimension
-    factor = DEFAULT_GRAM_CUTOFF * m
     if backend.kind == "svd":
         a = space.weigh(_panel(block, 0, d).values)
         total = float(np.vdot(a, a))
@@ -592,13 +653,36 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
             # the singular values would square to infinity in the truncation
             raise np.linalg.LinAlgError("snapshot energy overflows: entries too large to square")
         u, s, vt = scipy.linalg.svd(a, full_matrices=False)
-        s = _above_floor(s, factor)
+        s = _above_floor(s, DEFAULT_GRAM_CUTOFF * m)
 
         def assemble(rank, sig):
             right = vt[:rank].T if want_right else None
             return space.unweigh(u[:, :rank]), right
 
         return _from_spectrum(s * s, assemble, space, epsilon, m, want_right, total)
+    step = _gram_step(block, epsilon, spread, pass_full)
+    if step is None:
+        return _passthrough(block, want_right)
+    lam, vectors, total, product = step
+
+    def assemble(rank, sig):
+        psi = vectors(rank)
+        coef = psi / sig[None, :]
+        if m <= d:
+            return product(coef), psi if want_right else None
+        return space.unweigh(psi), product(coef) if want_right else None
+
+    return _from_spectrum(lam, assemble, space, epsilon, m, want_right, total, drifts=m <= d)
+
+
+def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool):
+    """The "gram" route of `pod` on a block of m > 0 columns, stopped before
+    assembly.  Returns None when `pass_full` applies, otherwise (lam, vectors,
+    total, product): the eigenvalues above the noise floor and ``vectors(n)``
+    of the solve, the energy measured from the Gramian, and ``product(coef)``,
+    X @ coef assembled over the row panels of X."""
+    space = block.space
+    m, d = block.count, space.dimension
     if m <= d:
         x = block
     else:
@@ -642,36 +726,49 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
         except np.linalg.LinAlgError:
             pass
         else:
-            return _passthrough(block, want_right)
-    lam, vectors = (_range_eigh if m <= d else _descending_eigh)(g, factor)
+            return None
+    lam, vectors = (_range_eigh if m <= d else _descending_eigh)(g, DEFAULT_GRAM_CUTOFF * m)
     del g
 
     # a stack of several panels is not written again: each part's rows are
     # multiplied in place of the stacked rows
     stack = x.values if isinstance(x.values, _ColumnStack) and whole is None else None
 
-    def assemble(rank, sig):
-        psi = vectors(rank)
-        coef = psi / sig[None, :]
+    def product(coef):
+        out = np.zeros((rows, coef.shape[1]))
 
-        def product():
-            out = np.zeros((rows, rank))
+        def fill(p):
+            a, b = panels[p]
+            if stack is None:
+                np.matmul(panel(p).values, coef, out=out[a:b])
+            else:
+                stack.times(slice(a, b), coef, out[a:b])
 
-            def fill(p):
-                a, b = panels[p]
-                if stack is None:
-                    np.matmul(panel(p).values, coef, out=out[a:b])
-                else:
-                    stack.times(slice(a, b), coef, out[a:b])
+        spread(fill, len(panels))
+        return out
 
-            spread(fill, len(panels))
-            return out
+    return lam, vectors, total, product
 
-        if m <= d:
-            return product(), psi if want_right else None
-        return space.unweigh(psi), product() if want_right else None
 
-    return _from_spectrum(lam, assemble, space, epsilon, m, want_right, total, drifts=m <= d)
+def _leaf_pod(block: SnapshotBlock, epsilon: float, backend: PodBackend, want_right: bool,
+              spread=None):
+    """``pod(block, epsilon, backend, want_right, spread, pass_full=True)``
+    for a leaf whose output only its parent reads.  A tall block on the
+    "gram" route that truncates stops before assembly: it returns a
+    `_Factored` of its own columns and its k right vectors psi, whose product
+    S psi is the scaled modes sigma phi the parent stacks, so no d x k modes
+    are formed, mended or sign-fixed.  The passthrough set of a block that
+    keeps every column is the identity case, psi = I."""
+    m = block.count
+    if (backend or PodBackend()).kind != "gram" or epsilon == 0.0 or not 0 < m <= block.space.dimension:
+        return pod(block, epsilon, backend, want_right, spread, pass_full=True)
+    step = _gram_step(block, epsilon, spread, pass_full=True)
+    if step is None:
+        return _passthrough(block, want_right)
+    lam, vectors, total, _ = step
+    sig, tail = _truncation(lam, epsilon, total, m)
+    # a contiguous copy: BLAS takes no reversed eigenvector columns
+    return _Factored(block.values, _read_only(np.ascontiguousarray(vectors(sig.size))), sig, tail)
 
 
 def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
@@ -688,6 +785,5 @@ def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
         raise ValueError("prior modes and fresh block live in different spaces")
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
-    scale = prior.sigmas if prior.orthonormal else None
-    block = SnapshotBlock._stack(prior.space, [(prior.modes, scale), (fresh.values, None)])
+    block = SnapshotBlock._stack(prior.space, [_stack_part(prior), (fresh.values, None)])
     return pod(block, epsilon, backend)

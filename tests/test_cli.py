@@ -90,6 +90,17 @@ class TestRun:
         report_lines = (out / "report.tsv").read_text().strip().splitlines()
         assert len(report_lines) == tree.node_count + 1  # header included
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_input_exits_usage(self, tmp_path, capsys, bad):
+        values = np.random.default_rng(5).standard_normal((30, 40))
+        values[29, 39] = bad
+        path = tmp_path / "bad.hpd"
+        write_matrix(path, values)
+        code = run_cli("run", path, "--out", tmp_path / "res", "--eps-star", 0.01,
+                       "--topology", "star", "--blocks", 2)
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+
     def test_depth_suffix_wins(self, synthetic_file, tmp_path):
         out = tmp_path / "res3"
         code = run_cli("run", synthetic_file, "--out", out, "--eps-star", 0.01,

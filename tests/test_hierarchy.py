@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -27,12 +28,15 @@ from hapod import (
     error_bound,
     pod,
     run_hapod,
+    run_parallel,
     synthetic_decay,
 )
 from hapod.datagen import BurgersConfig, burgers_snapshots
 from hapod.hierarchy import evaluate_node
 from hapod.io import load_snapshots, write_matrix
 from helpers import oracle_pod_count, random_case, span_residual_sq, stacked_leaf_columns
+
+POD = importlib.import_module("hapod.pod")  # hapod.pod is the function
 
 
 def star_case(rng, dim=12, per_leaf=25, k=4, weights=None):
@@ -273,6 +277,50 @@ class TestActualMeanError:
         assert len(aligned) == 2 * math.ceil(900 / (2**23 // (8 * 3000)))
         assert all(aligned)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_batches_far_from_rounding_take_one_product(self, monkeypatch, weighted):
+        # ||S_b||^2_W - ||U^T W S_b||^2_F per batch, no residual formed
+        rng = np.random.default_rng(23)
+        dim, cols = 300, 50
+        w = rng.uniform(0.5, 2.0, dim) if weighted else None
+        space = InnerProductSpace(dim, w)
+        block = SnapshotBlock(space, rng.standard_normal((dim, 4)) @ rng.standard_normal((4, cols))
+                              + 0.3 * rng.standard_normal((dim, cols)))
+        out = pod(block, 30.0)
+        assert 0 < out.count < cols
+        monkeypatch.setattr(hapod.hierarchy, "BATCH_BYTES", 8 * dim * 12)  # five batches
+        resid = block.values - out.modes @ space.gram(out.modes, block.values)
+        ref = float(np.sum(space.norms_sq(resid))) / cols
+        subtractions, real = [], np.subtract
+        monkeypatch.setattr(np, "subtract", lambda *a, **k: subtractions.append(1) or real(*a, **k))
+        got = [actual_mean_error(block, out, workers) for workers in (1, 2)]
+        assert subtractions == []
+        assert got[0] == got[1]
+        assert got[0] == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_batches_near_rounding_measure_the_residual(self, monkeypatch, weighted):
+        # columns inside the span leave a rounding-level error, which the
+        # difference of two energies cannot resolve: every batch falls back
+        # to its explicit residual, an eighth of the rows at a time
+        rng = np.random.default_rng(29)
+        dim, cols = 300, 50
+        w = rng.uniform(0.5, 2.0, dim) if weighted else None
+        space = InnerProductSpace(dim, w)
+        block = SnapshotBlock(space, rng.standard_normal((dim, 6)) @ rng.standard_normal((6, cols)))
+        out = pod(block, 1e-6)
+        assert out.count == 6
+        monkeypatch.setattr(hapod.hierarchy, "BATCH_BYTES", 8 * dim * 12)  # five batches
+        resid = block.values - out.modes @ space.gram(out.modes, block.values)
+        ref = float(np.sum(space.norms_sq(resid))) / cols
+        energy = float(np.sum(space.norms_sq(block.values))) / cols
+        subtractions, real = [], np.subtract
+        monkeypatch.setattr(np, "subtract", lambda *a, **k: subtractions.append(1) or real(*a, **k))
+        got = actual_mean_error(block, out, 2)
+        assert len(subtractions) == 5 * 8
+        assert 0.0 <= got <= 1e-20 * energy
+        assert abs(got - ref) <= 1e-24 * energy
+
     def test_rejects_passthrough_modes(self):
         block = SnapshotBlock(InnerProductSpace(3), np.eye(3))
         raw = pod(block, 0.0)
@@ -307,6 +355,95 @@ class TestStackedInput:
         assert report.input_count == k * n
         assert 0 < out.count < k * n
         assert peak < stacked_bytes / 2
+
+
+class TestFactoredLeaves:
+    """A leaf below the root on the tall "gram" route that truncates hands its
+    parent its own columns S and its right vectors psi; S psi, its scaled
+    modes, is never formed."""
+
+    @pytest.fixture(scope="class")
+    def mapped(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("factored") / "tall.hpd"
+        write_matrix(path, synthetic_decay(12000, 240, 0.05, seed=0).values)
+        return load_snapshots(path)
+
+    @staticmethod
+    def star(block):
+        tree = build_star(6)
+        leaves = distribute_columns(tree, block, block_size=40)
+        return tree, leaves, assign_tolerances(tree, leaves, 1e-2, 0.75)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_star_peaks_below_half_its_leaf_modes(self, mapped, monkeypatch, workers):
+        # 1 MiB panels keep the root's own working set small next to the six
+        # leaves' 12000 x 37 modes (21 MB), which used to wait for the root
+        monkeypatch.setattr(POD, "BATCH_BYTES", 2**20)
+        tree, leaves, tol = self.star(mapped)
+        tracemalloc.start()
+        try:
+            result, _ = run_parallel(tree, leaves, tol, worker_count=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = [result.report_for(leaf).output_mode_count for leaf in leaves.blocks]
+        assert all(0 < k < 40 for k in kept)
+        assert peak < 8 * mapped.space.dimension * sum(kept) / 2
+
+    def test_truncating_leaf_shares_the_map(self, mapped):
+        tree, leaves, tol = self.star(mapped)
+        maps = derive_maps(tree, leaves.counts())
+        leaf = maps.leaf_order[0]
+        block = leaves.blocks[leaf]
+        out, lhat, report = evaluate_node(tree, maps, leaf, tol, PodBackend(), leaves, [], True)
+        assert np.shares_memory(out.columns, mapped.values)
+        assert lhat is out.right
+        assert out.right.shape == (40, out.count)
+        assert 0 < out.count == report.output_mode_count < 40
+        ref = pod(block, tol.epsilons[leaf], want_right=True)
+        assert np.array_equal(out.sigmas, ref.sigmas)
+        assert out.tail_energy == report.discarded_tail_energy == ref.tail_energy
+        # psi as the solve left it, before the sign convention
+        assert np.array_equal(np.abs(out.right), np.abs(ref.right))
+        scaled = np.asarray(block.values) @ out.right
+        assert np.allclose(np.abs(scaled), np.abs(ref.scaled()), rtol=0.0, atol=1e-12 * ref.sigmas[0])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_root_matches_the_two_stage_formula(self, monkeypatch, weighted):
+        rng = np.random.default_rng(113)
+        dim, per, k = 600, 20, 4
+        weights = rng.uniform(0.5, 2.0, dim) if weighted else None
+        block = SnapshotBlock(InnerProductSpace(dim, weights), synthetic_decay(dim, per * k, 0.2, seed=5).values)
+        tree = build_star(k)
+        leaves = distribute_columns(tree, block)
+        tol = assign_tolerances(tree, leaves, 1e-2, 0.75)
+        # three row panels per leaf, about eight at the root
+        monkeypatch.setattr(POD, "BATCH_BYTES", 8 * dim * 8)
+        assert len(POD._row_panels(dim, per)) == 3
+        finished, real = [], POD._finish_modes
+        monkeypatch.setattr(POD, "_finish_modes", lambda modes, *a, **kw: finished.append(modes.shape)
+                            or real(modes, *a, **kw))
+        runs = [run_parallel(tree, leaves, tol, worker_count=w, track_right_factor=True)[0]
+                for w in (1, 2, 3)]
+        # no leaf forms, mends or sign-fixes modes: only the root does
+        assert finished == [(dim, runs[0].mode_count)] * 3
+        monkeypatch.undo()
+        result = runs[0]
+        for other in runs[1:]:
+            assert np.array_equal(other.modes.sigmas, result.modes.sigmas)
+            assert np.array_equal(other.modes.modes, result.modes.modes)
+            assert np.array_equal(other.right_factor, result.right_factor)
+        assert all(0 < result.report_for(leaf).output_mode_count < per for leaf in leaves.blocks)
+        # each leaf's modes formed and scaled, then the root's POD of them
+        kids = [pod(leaves.blocks[leaf], tol.epsilons[leaf], want_right=True)
+                for leaf in tree.children[tree.root]]
+        stacked = SnapshotBlock(block.space, np.hstack([ms.scaled() for ms in kids]))
+        ref = pod(stacked, tol.epsilons[tree.root], want_right=True)
+        assert result.mode_count == ref.count
+        assert np.allclose(result.modes.sigmas, ref.sigmas, rtol=1e-12, atol=0.0)
+        assert np.allclose(result.modes.modes, ref.modes, rtol=0.0, atol=1e-12 * np.max(np.abs(ref.modes)))
+        lhat = scipy.linalg.block_diag(*[ms.right for ms in kids]) @ ref.right
+        assert np.allclose(result.right_factor, lhat, rtol=0.0, atol=1e-12)
 
 
 class TestRunHapod:

@@ -783,6 +783,32 @@ class TestBlockGramianPod:
             block_gramian_pod(prior, other, 0.5)
 
 
+class TestFiniteCheck:
+    """`SnapshotBlock` reads each chunk of its values for min and max in one
+    go, along the slow axis, and still finds every non-finite entry."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finds_nonfinite_entries_in_any_chunk(self, monkeypatch, order, where, bad):
+        monkeypatch.setattr(POD, "_CHECK_BYTES", 8 * 40 * 4)  # 3 to 4 rows or columns a chunk
+        values = np.asarray(np.random.default_rng(61).standard_normal((50, 40)), order=order)
+        SnapshotBlock(euclid(50), values)
+        at = (0, 0) if where == "first" else (49, 39)
+        values[at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SnapshotBlock(euclid(50), values)
+
+    def test_chunks_cover_a_strided_view(self, monkeypatch):
+        monkeypatch.setattr(POD, "_CHECK_BYTES", 64)
+        values = np.random.default_rng(67).standard_normal((30, 20))
+        view = values[:, 3:17:2]
+        SnapshotBlock(euclid(30), view)
+        values[29, 15] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            SnapshotBlock(euclid(30), view)
+
+
 class TestValidation:
     def test_mode_set_rejects_increasing_sigmas(self):
         with pytest.raises(ValueError):
