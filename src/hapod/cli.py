@@ -180,8 +180,6 @@ def _read_report(path):
 
 
 def cmd_run(args) -> int:
-    if not 0.0 < args.omega <= 1.0:
-        raise ValueError(f"--omega must lie in (0, 1], got {args.omega}")
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     block = hio.load_snapshots(args.input)
@@ -439,6 +437,14 @@ def cmd_bench(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hapod", description=__doc__)
+
+    def omega(text: str) -> float:
+        # the root's share of the error budget, for run and bench alike
+        value = float(text)
+        if not 0.0 < value <= 1.0:
+            raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+        return value
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate snapshot data")
@@ -463,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("input")
     run.add_argument("--out", required=True, help="results directory")
     run.add_argument("--eps-star", type=float, required=True, help="mean-error target")
-    run.add_argument("--omega", type=float, default=0.75)
+    run.add_argument("--omega", type=omega, default=0.75)
     run.add_argument("--topology", required=True, help="star | chain | balanced[:depth] | file:PATH")
     run.add_argument("--blocks", type=int, default=None)
     run.add_argument("--block-size", type=int, default=None)
@@ -489,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--topologies", default="balanced", help="comma list of star,chain,balanced")
     ben.add_argument("--decay-rate", type=float, default=0.02)
     ben.add_argument("--eps-star", type=float, default=1e-3)
-    ben.add_argument("--omega", type=float, default=0.75)
+    ben.add_argument("--omega", type=omega, default=0.75)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("-o", "--output", default=None)
     ben.set_defaults(func=cmd_bench)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pod import (BATCH_BYTES, InnerProductSpace, ModeSet, PodBackend, SnapshotBlock, _leaf_pod, _stack_part,
+from .pod import (BATCH_BYTES, InnerProductSpace, ModeSet, PodBackend, SnapshotBlock, _leaf_step, _scaled,
                   block_gramian_pod, pod)
 from .tree import RootedTree, TreeMaps, build_chain, derive_maps
 
@@ -281,9 +281,9 @@ def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet, worker_count: in
 
 
 def _node_report(tree: RootedTree, maps: TreeMaps, node: int, input_count: int,
-                 subordinate_count: int, eps: float = 0.0, out: ModeSet | None = None,
-                 wall: float = 0.0) -> NodeReport:
-    """Report for one node; out=None is a passthrough leaf that emits its input."""
+                 subordinate_count: int, eps: float = 0.0, out=None, wall: float = 0.0) -> NodeReport:
+    """Report for one node given its output, a `ModeSet` or a `_NodeOutput`;
+    out=None is a passthrough leaf that emits its input."""
     return NodeReport(
         node=node,
         level=maps.level[node],
@@ -306,13 +306,13 @@ def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAss
     in child-list order.  An interior node decomposes its children's outputs
     side by side as one stacked block, whose rows are written only when a
     row panel of the POD asks for them, so the stacked input is never held
-    whole.  A leaf below the root hands its parent a view of its own columns
-    (`_leaf_pod`): unscaled when it would keep every column, and on the tall
-    "gram" route, when it truncates, with its k right vectors psi as the
-    coefficient block, S psi being its scaled modes, which are never formed.
-    Every other node returns a `ModeSet`; the root's modes are orthonormal.
-    spread runs the panels (see `pod`).  Returns (node output, cumulative
-    right factor or None, NodeReport).
+    whole.  Every node below the root returns one `_NodeOutput` (A, R,
+    sigma, tail), whose scaled modes are A R: an interior node its modes and
+    sigmas, a leaf a view of its own columns (`_leaf_step`), raw when it
+    would keep every column and, on the tall "gram" route, with its k right
+    vectors psi when it truncates.  The root returns its orthonormal
+    `ModeSet`.  spread runs the panels (see `pod`).  Returns (node output,
+    cumulative right factor or None, NodeReport).
     """
     eps = tol.epsilons[node]
     started = time.perf_counter()
@@ -320,17 +320,19 @@ def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAss
     if leaf:
         block = leaves.blocks[node]
     else:
-        block = SnapshotBlock._stack(leaves.space, [_stack_part(kid) for kid, _ in child_results])
+        block = SnapshotBlock._stack(leaves.space, [(kid.columns, kid.coef) for kid, _ in child_results])
     if leaf and node != tree.root:
-        out = _leaf_pod(block, eps, backend, track, spread)
+        out, lhat = _leaf_step(block, eps, backend, track, spread)
     else:
         out = pod(block, eps, backend, want_right=track, spread=spread)
-    lhat = out.right if track else None
+        lhat = out.right
+        if node != tree.root:
+            out = _scaled(out)
     if track and not leaf:
-        # block_diag(child factors) @ out.right, one child's rows at a time
-        ends = np.cumsum([ms.count for ms, _ in child_results])
-        lhat = np.vstack([lh @ out.right[end - ms.count:end]
-                          for (ms, lh), end in zip(child_results, ends)])
+        # block_diag(child factors) @ the right vectors, one child's rows at a time
+        ends = np.cumsum([kid.count for kid, _ in child_results])
+        lhat = np.vstack([lh @ lhat[end - kid.count:end]
+                          for (kid, lh), end in zip(child_results, ends)])
     wall = time.perf_counter() - started
     report = _node_report(tree, maps, node, block.count, maps.subordinate_leaf_counts[node],
                           eps, out, wall)
@@ -391,8 +393,10 @@ class IncrementalSession:
         self._done = False
 
     def _merge(self, node: int, fresh: SnapshotBlock) -> None:
-        """Fold fresh into the carried modes as the chain's node."""
-        eps = _tolerance(self._seen, self.target, self.omega, self.planned, node == self.tree.root)
+        """Fold fresh into the carried modes as the chain's node; the bottom
+        leaf, below the root, carries its block as it is (epsilon 0)."""
+        root, leaf = node == self.tree.root, not self.tree.children[node]
+        eps = 0.0 if leaf and not root else _tolerance(self._seen, self.target, self.omega, self.planned, root)
         prior = self._current
         started = time.perf_counter()
         if prior is None:
@@ -416,18 +420,12 @@ class IncrementalSession:
         elif not self._space.same_as(block.space):
             raise ValueError("pushed block lives in a different space than the first one")
         self._seen += block.count
-        leaf = self.maps.leaf_order[self._pushed]
-        if self.planned == 1:
-            self._merge(leaf, block)
-        elif self._pushed == 0:
-            # bottom leaf: no POD, the raw block is carried as unit-sigma modes
-            started = time.perf_counter()
-            self._current = pod(block, 0.0, self.backend)
-            self._reports.append(_node_report(self.tree, self.maps, leaf, block.count, block.count,
-                                              out=self._current, wall=time.perf_counter() - started))
-        else:
-            self._reports.append(_node_report(self.tree, self.maps, leaf, block.count, block.count))
-            self._merge(self.maps.parent[leaf], block)
+        node = self.maps.leaf_order[self._pushed]
+        if self._pushed:
+            # a later leaf hands its raw block to the merge node above it
+            self._reports.append(_node_report(self.tree, self.maps, node, block.count, block.count))
+            node = self.maps.parent[node]
+        self._merge(node, block)
         self._pushed += 1
 
     def finalize(self) -> HapodResult:

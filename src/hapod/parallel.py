@@ -28,13 +28,14 @@ class ExecStats:
 
     critical_path_time is the longest root-to-leaf sum of node wall times,
     total_node_time the sum of all node wall times (both from the node
-    reports).  peak_resident_modes is the largest number of output columns
-    that node outputs held at once in this run, counted when each node
-    finishes and before its children's outputs are released.  It counts
-    columns, not bytes: a leaf output below the root holds no column of its
-    own (it is a view of the leaf's input, see `evaluate_node`) yet counts
-    its width, and with several workers the count depends on the order in
-    which nodes happen to finish.
+    reports).  peak_resident_modes is the largest sum of the reports'
+    output mode counts over the node outputs held at once in this run,
+    counted when each node finishes and before its children's outputs are
+    released.  It counts columns, not bytes: a leaf's output below the root,
+    its columns A with a coefficient block R (see `evaluate_node`), holds no
+    column of its own, since A is a view of the leaf's input, yet counts its
+    width, and with several workers the count depends on the order in which
+    nodes happen to finish.
     """
 
     critical_path_time: float
@@ -115,10 +116,11 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
                     continue
                 live[v] = (out, lhat)
                 reports[v] = rep
-                resident += out.count
+                resident += rep.output_mode_count
                 peak = max(peak, resident)
                 for c in tree.children[v]:
-                    resident -= live.pop(c)[0].count
+                    del live[c]
+                    resident -= reports[c].output_mode_count
                 parent = maps.parent[v]
                 if parent >= 0:
                     waiting[parent] -= 1

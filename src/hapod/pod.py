@@ -19,16 +19,17 @@ X_p psi / sigma are assembled a panel at a time.  The panels depend on the
 block's shape only, so the result does not depend on which threads run
 them: other threads may run panels, but the calling thread alone adds their
 partial Gramians, in panel order (`_pooled_spread`).  A block of one panel
-takes exactly the unpanelled route.  A block may be a stack of parts (A, R)
-(`SnapshotBlock._stack`): R is None for raw columns A, a column scale for
-scaled modes, or a coefficient matrix for a leaf kept factored as its own
-columns A and right vectors R = psi, whose scaled modes sigma phi = A psi are
-never formed (`_leaf_pod`).  A panel of a tall stack writes A[rows] R only
-for its own rows, so the stacked input of a tall node is never held whole,
-and the assembly folds R into its coefficients instead of writing them
-again.  Blocks and mode sets hold a read-only view of the caller's array in
-its memory order, so the array must not change while they are in use; only
-`_blas_ready` copies, rows BLAS cannot read.
+takes exactly the unpanelled route.  A node below the root hands its parent
+one record (A, R, sigma, tail), `_NodeOutput`, whose scaled modes sigma phi
+are A R: R is None for raw columns A, the sigmas for orthonormal modes A, or
+the k right vectors psi of a truncating tall leaf, A its own columns, whose
+product A psi is never formed (`_leaf_step`).  The parent stacks the parts
+(A, R) (`SnapshotBlock._stack`).  A panel of a tall stack writes A[rows] R
+only for its own rows, so the stacked input of a tall node is never held
+whole, and the assembly folds R into its coefficients instead of writing
+them again.  Blocks and mode sets hold a read-only view of the caller's
+array in its memory order, so the array must not change while they are in
+use; only `_blas_ready` copies, rows BLAS cannot read.
 
 The eigendecomposition is LAPACK's divide and conquer, written over the
 Gramian, which must be finite.  A tall block's Gramian G is first factored by
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -292,16 +294,16 @@ class ModeSet:
         return self.modes * self.sigmas[None, :]
 
 
-@dataclass(frozen=True, eq=False)
-class _Factored:
-    """The POD of a leaf kept factored for its parent (`_leaf_pod`): its
-    scaled modes sigma_n phi_n are the columns of ``columns @ right``, never
-    formed.  ``columns`` is the leaf's block values, a view of the caller's
-    array; ``right`` holds the k right vectors psi (m x k, orthonormal);
-    ``sigmas`` and ``tail_energy`` are as in `ModeSet`."""
+class _NodeOutput(NamedTuple):
+    """What a node below the root hands its parent: its scaled modes
+    sigma_n phi_n are the columns of A R, the part (``columns``, ``coef``) of
+    `SnapshotBlock._stack`.  ``coef`` is None for raw columns (unit sigmas),
+    the sigmas for orthonormal modes, or the k right vectors psi (m x k,
+    orthonormal) of a leaf whose ``columns`` are its own block values, a view
+    of the caller's array.  ``sigmas`` and ``tail_energy`` are as in `ModeSet`."""
 
     columns: np.ndarray
-    right: np.ndarray
+    coef: np.ndarray | None
     sigmas: np.ndarray
     tail_energy: float
 
@@ -310,13 +312,9 @@ class _Factored:
         return self.sigmas.size
 
 
-def _stack_part(out) -> tuple:
-    """The part (A, R) of `SnapshotBlock._stack` that feeds a node output to
-    its parent: a factored leaf's columns and right vectors, a passthrough
-    set's raw columns, or modes scaled by their sigmas."""
-    if isinstance(out, _Factored):
-        return out.columns, out.right
-    return out.modes, out.sigmas if out.orthonormal else None
+def _scaled(out: ModeSet) -> _NodeOutput:
+    # unit sigmas scale a passthrough set's raw columns exactly
+    return _NodeOutput(out.modes, out.sigmas, out.sigmas, out.tail_energy)
 
 
 @dataclass(frozen=True)
@@ -409,30 +407,6 @@ def _finish_modes(modes, right, space, drifts=True, owned=False):
     return _fix_signs(modes, right, owned)
 
 
-def _empty_mode_set(space, want_right, input_count=0, tail_energy=0.0):
-    # right keeps one row per input column so stacked factors stay aligned
-    return ModeSet(
-        space,
-        np.zeros(0),
-        np.zeros((space.dimension, 0)),
-        orthonormal=True,
-        tail_energy=tail_energy,
-        right=np.zeros((input_count, 0)) if want_right else None,
-    )
-
-
-def _passthrough(block: SnapshotBlock, want_right: bool) -> ModeSet:
-    m = block.count
-    return ModeSet(
-        block.space,
-        np.ones(m),
-        block.values,
-        orthonormal=False,
-        tail_energy=0.0,
-        right=np.eye(m) if want_right else None,
-    )
-
-
 def _above_floor(values: np.ndarray, factor: float) -> np.ndarray:
     """The descending values at or above factor * values[0]; none if values[0] <= 0."""
     if not values.size or values[0] <= 0.0:
@@ -452,20 +426,6 @@ def _truncation(lam, epsilon, total, m):
     if rank == 0 and total * (1.0 + DEFAULT_GRAM_CUTOFF * m) > epsilon * epsilon:
         rank = 1
     return sig[:rank], float(np.sum(lam[rank:]))
-
-
-def _from_spectrum(lam, assemble, space, epsilon, m, want_right, total, drifts=False):
-    """Shared truncation logic (`_truncation`).  assemble(rank, sig) must
-    return the first rank modes as a d x rank array and their right vectors
-    (m x rank, or None when not wanted), arrays `pod` may scale in place;
-    drifts says that the modes need the orthonormality check of
-    `_finish_modes`."""
-    if not lam.size:
-        return _empty_mode_set(space, want_right, input_count=m)
-    sig, tail = _truncation(lam, epsilon, total, m)
-    modes, right = assemble(sig.size, sig)
-    modes, right = _finish_modes(modes, right, space, drifts, owned=True)
-    return ModeSet(space, sig, modes, orthonormal=True, tail_energy=tail, right=right)
 
 
 def _descending_eigh(g: np.ndarray, factor: float):
@@ -598,7 +558,7 @@ def _pooled_spread(pool=None, helpers: int = 0):
 
 
 def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
-        want_right: bool = False, spread=None, pass_full: bool = False) -> ModeSet:
+        want_right: bool = False, spread=None) -> ModeSet:
     """POD of a snapshot block, truncated at squared-error budget epsilon^2.
 
     Parameters
@@ -626,10 +586,6 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
         `_pooled_spread`.  The default runs
         them in order on the calling thread, the executor lets idle pool
         threads take some.  The result does not depend on it.
-    pass_full
-        On the "gram" route of a block with m <= d: when a Cholesky of
-        G - epsilon^2 I succeeds, truncation would keep every column, so
-        return the passthrough set of ``epsilon = 0`` undecomposed.
 
     Returns
     -------
@@ -639,14 +595,13 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     backend = backend or PodBackend()
-    if epsilon == 0.0:
-        return _passthrough(block, want_right)
-    m = block.count
-    if m == 0:
-        return _empty_mode_set(block.space, want_right)
-    space = block.space
+    space, m = block.space, block.count
     d = space.dimension
-    if backend.kind == "svd":
+    if epsilon == 0.0:
+        return ModeSet(space, np.ones(m), block.values, orthonormal=False,
+                       right=np.eye(m) if want_right else None)
+    lam = np.zeros(0)
+    if m and backend.kind == "svd":
         a = space.weigh(_panel(block, 0, d).values)
         total = float(np.vdot(a, a))
         if not np.isfinite(total):
@@ -654,33 +609,35 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
             raise np.linalg.LinAlgError("snapshot energy overflows: entries too large to square")
         u, s, vt = scipy.linalg.svd(a, full_matrices=False)
         s = _above_floor(s, DEFAULT_GRAM_CUTOFF * m)
-
-        def assemble(rank, sig):
-            right = vt[:rank].T if want_right else None
-            return space.unweigh(u[:, :rank]), right
-
-        return _from_spectrum(s * s, assemble, space, epsilon, m, want_right, total)
-    step = _gram_step(block, epsilon, spread, pass_full)
-    if step is None:
-        return _passthrough(block, want_right)
-    lam, vectors, total, product = step
-
-    def assemble(rank, sig):
-        psi = vectors(rank)
+        lam = s * s
+    elif m:
+        lam, vectors, total, product = _gram_step(block, epsilon, spread)
+    if not lam.size:
+        # right keeps one row per input column so stacked factors stay aligned
+        return ModeSet(space, lam, np.zeros((d, 0)), right=np.zeros((m, 0)) if want_right else None)
+    sig, tail = _truncation(lam, epsilon, total, m)
+    k = sig.size
+    if backend.kind == "svd":
+        modes, right = space.unweigh(u[:, :k]), vt[:k].T
+    else:
+        psi = vectors(k)
         coef = psi / sig[None, :]
         if m <= d:
-            return product(coef), psi if want_right else None
-        return space.unweigh(psi), product(coef) if want_right else None
+            modes, right = product(coef), psi
+        else:
+            modes, right = space.unweigh(psi), product(coef) if want_right else None
+    modes, right = _finish_modes(modes, right if want_right else None, space,
+                                 drifts=backend.kind == "gram" and m <= d, owned=True)
+    return ModeSet(space, sig, modes, tail_energy=tail, right=right)
 
-    return _from_spectrum(lam, assemble, space, epsilon, m, want_right, total, drifts=m <= d)
 
-
-def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool):
+def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool = False):
     """The "gram" route of `pod` on a block of m > 0 columns, stopped before
-    assembly.  Returns None when `pass_full` applies, otherwise (lam, vectors,
-    total, product): the eigenvalues above the noise floor and ``vectors(n)``
-    of the solve, the energy measured from the Gramian, and ``product(coef)``,
-    X @ coef assembled over the row panels of X."""
+    assembly.  With `pass_full`, on a tall block, returns None when every
+    eigenvalue of G exceeds epsilon^2 (see `_leaf_step`); otherwise (lam,
+    vectors, total, product): the eigenvalues above the noise floor and
+    ``vectors(n)`` of the solve, the energy measured from the Gramian, and
+    ``product(coef)``, X @ coef assembled over the row panels of X."""
     space = block.space
     m, d = block.count, space.dimension
     if m <= d:
@@ -720,7 +677,7 @@ def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool):
     if not np.isfinite(total):
         # no entry of G exceeds its diagonal, so the trace shows any overflow
         raise np.linalg.LinAlgError("snapshot Gramian overflows: entries too large to square")
-    if pass_full and m <= d:
+    if pass_full:
         try:  # succeeds only if every eigenvalue of G exceeds epsilon^2
             np.linalg.cholesky(g - epsilon * epsilon * np.eye(m))
         except np.linalg.LinAlgError:
@@ -750,25 +707,29 @@ def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool):
     return lam, vectors, total, product
 
 
-def _leaf_pod(block: SnapshotBlock, epsilon: float, backend: PodBackend, want_right: bool,
-              spread=None):
-    """``pod(block, epsilon, backend, want_right, spread, pass_full=True)``
-    for a leaf whose output only its parent reads.  A tall block on the
-    "gram" route that truncates stops before assembly: it returns a
-    `_Factored` of its own columns and its k right vectors psi, whose product
+def _leaf_step(block: SnapshotBlock, epsilon: float, backend: PodBackend | None,
+               want_right: bool = False, spread=None):
+    """The `_NodeOutput` of a leaf whose output only its parent reads, and its
+    right vectors if wanted.  At epsilon = 0, and on the tall "gram" route
+    when a Cholesky of G - epsilon^2 I succeeds, so that truncation would keep
+    every column, the raw columns pass through undecomposed, with unit sigmas
+    and right vectors I.  A tall "gram" block that truncates stops after its
+    eigensolve: its own columns S with its k right vectors psi, whose product
     S psi is the scaled modes sigma phi the parent stacks, so no d x k modes
-    are formed, mended or sign-fixed.  The passthrough set of a block that
-    keeps every column is the identity case, psi = I."""
+    are formed, mended or sign-fixed.  Any other leaf is decomposed by `pod`."""
     m = block.count
-    if (backend or PodBackend()).kind != "gram" or epsilon == 0.0 or not 0 < m <= block.space.dimension:
-        return pod(block, epsilon, backend, want_right, spread, pass_full=True)
-    step = _gram_step(block, epsilon, spread, pass_full=True)
-    if step is None:
-        return _passthrough(block, want_right)
-    lam, vectors, total, _ = step
-    sig, tail = _truncation(lam, epsilon, total, m)
-    # a contiguous copy: BLAS takes no reversed eigenvector columns
-    return _Factored(block.values, _read_only(np.ascontiguousarray(vectors(sig.size))), sig, tail)
+    if epsilon > 0.0 and (backend or PodBackend()).kind == "gram" and 0 < m <= block.space.dimension:
+        step = _gram_step(block, epsilon, spread, pass_full=True)
+        if step is not None:
+            lam, vectors, total, _ = step
+            sig, tail = _truncation(lam, epsilon, total, m)
+            # a contiguous copy: BLAS takes no reversed eigenvector columns
+            psi = _read_only(np.ascontiguousarray(vectors(sig.size)))
+            return _NodeOutput(block.values, psi, sig, tail), psi if want_right else None
+    elif epsilon > 0.0:
+        out = pod(block, epsilon, backend, want_right, spread)
+        return _scaled(out), out.right
+    return _NodeOutput(block.values, None, np.ones(m), 0.0), np.eye(m) if want_right else None
 
 
 def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
@@ -785,5 +746,6 @@ def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
         raise ValueError("prior modes and fresh block live in different spaces")
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
-    block = SnapshotBlock._stack(prior.space, [_stack_part(prior), (fresh.values, None)])
+    scale = prior.sigmas if prior.orthonormal else None
+    block = SnapshotBlock._stack(prior.space, [(prior.modes, scale), (fresh.values, None)])
     return pod(block, epsilon, backend)

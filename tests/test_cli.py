@@ -411,6 +411,14 @@ class TestBench:
         kinds = {ln.split("\t")[1] for ln in lines[1:]}
         assert kinds == {"pod", "balanced", "star"}
 
+    def test_zero_omega_exits_usage(self, capsys):
+        # as for run: a root tolerance of 0 would hand back the raw columns
+        assert run_cli("bench", "--sizes", 50, "--block-size", 10, "--topologies", "chain",
+                       "--omega", 0) == 1
+        err = capsys.readouterr().err
+        assert "--omega" in err
+        assert "Traceback" not in err
+
     def test_zero_block_size_exits_usage(self, capsys):
         assert run_cli("bench", "--rows", 30, "--sizes", "90", "--block-size", 0) == 1
         err = capsys.readouterr().err

@@ -12,7 +12,6 @@ from hapod import (
     IncrementalSession,
     InnerProductSpace,
     LeafAssignment,
-    ModeSet,
     PodBackend,
     RootedTree,
     SessionError,
@@ -341,8 +340,8 @@ class TestStackedInput:
         leaves = LeafAssignment({leaf: SnapshotBlock(space, np.zeros((dim, 0)))
                                  for leaf in tree.children[tree.root]})
         sigmas = np.exp(-0.3 * np.arange(n))
-        children = [(ModeSet(space, sigmas, np.linalg.qr(rng.standard_normal((dim, n)))[0]), None)
-                    for _ in range(k)]
+        children = [(POD._NodeOutput(np.linalg.qr(rng.standard_normal((dim, n)))[0], sigmas, sigmas, 0.0),
+                     None) for _ in range(k)]
         tol = ToleranceAssignment((0.5,) + (0.0,) * k)
         stacked_bytes = 8 * dim * k * n
         tracemalloc.start()
@@ -397,15 +396,15 @@ class TestFactoredLeaves:
         block = leaves.blocks[leaf]
         out, lhat, report = evaluate_node(tree, maps, leaf, tol, PodBackend(), leaves, [], True)
         assert np.shares_memory(out.columns, mapped.values)
-        assert lhat is out.right
-        assert out.right.shape == (40, out.count)
+        assert lhat is out.coef
+        assert out.coef.shape == (40, out.count)
         assert 0 < out.count == report.output_mode_count < 40
         ref = pod(block, tol.epsilons[leaf], want_right=True)
         assert np.array_equal(out.sigmas, ref.sigmas)
         assert out.tail_energy == report.discarded_tail_energy == ref.tail_energy
         # psi as the solve left it, before the sign convention
-        assert np.array_equal(np.abs(out.right), np.abs(ref.right))
-        scaled = np.asarray(block.values) @ out.right
+        assert np.array_equal(np.abs(out.coef), np.abs(ref.right))
+        scaled = np.asarray(block.values) @ out.coef
         assert np.allclose(np.abs(scaled), np.abs(ref.scaled()), rtol=0.0, atol=1e-12 * ref.sigmas[0])
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -641,8 +640,8 @@ class TestPassthroughLeaves:
         weights = np.random.default_rng(109).uniform(0.5, 2.0, 40) if weighted else None
         tree, leaves, tol = self.case(weights)
         calls = []
-        real = scipy.linalg.eigh
-        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: calls.append(1) or real(*a, **k))
+        real = POD._descending_eigh
+        monkeypatch.setattr(POD, "_descending_eigh", lambda *a, **k: calls.append(1) or real(*a, **k))
         result = run_hapod(tree, leaves, tol)
         assert len(calls) == sum(1 for kids in tree.children if kids) == 5
         for leaf, block in leaves.blocks.items():
@@ -767,8 +766,8 @@ class TestIncrementalSession:
         ref = run_hapod(tree, assignment, tol, backend=backend)
 
         calls = []
-        real = scipy.linalg.eigh
-        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: calls.append(1) or real(*a, **k))
+        real = POD._descending_eigh
+        monkeypatch.setattr(POD, "_descending_eigh", lambda *a, **k: calls.append(1) or real(*a, **k))
         session = IncrementalSession(target, omega, planned_block_count=len(blocks), backend=backend)
         for b in blocks:
             session.push(b)

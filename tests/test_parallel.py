@@ -368,8 +368,8 @@ class TestMappedChainMemory:
         tol = assign_tolerances(tree, leaves, 1e-2, 0.75, zero_leaf_tolerance=True)
         first = maps.leaf_order[0]
         out, _, _ = hapod.hierarchy.evaluate_node(tree, maps, first, tol, None, leaves, [], False)
-        assert not out.orthonormal
-        assert np.shares_memory(out.modes, block.values)
+        assert out.coef is None
+        assert np.shares_memory(out.columns, block.values)
         peaks = {}
         for workers in (1, 2):
             tracemalloc.start()

@@ -309,17 +309,43 @@ class TestGramRoutes:
     @pytest.mark.parametrize("dim, cols", [(8, 20), (20, 8), (10, 10)])
     def test_eigh_sees_the_smaller_square(self, monkeypatch, dim, cols):
         sizes = []
-        real = scipy.linalg.eigh
+        real = POD._descending_eigh
 
         def spy(a, *args, **kwargs):
             sizes.append(a.shape)
             return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        monkeypatch.setattr(POD, "_descending_eigh", spy)
         rng = np.random.default_rng(67)
         pod(random_block(rng, dim, cols, rng.uniform(0.5, 2.0, dim)), 0.1, want_right=True)
         n = min(dim, cols)
         assert sizes == [(n, n)]
+
+    def test_every_eigensolve_goes_through_one_function(self, monkeypatch, pivoted_ranks):
+        # counting at `_descending_eigh` sees what counting at SciPy sees:
+        # a full-rank tall Gramian, a tall one solved on its numerical
+        # range, and a wide block's correlation matrix
+        rng = np.random.default_rng(69)
+        blocks = {
+            "full-rank tall": random_block(rng, 40, 20),
+            "range-reduced tall": SnapshotBlock(euclid(200), rng.standard_normal((200, 6))
+                                                @ rng.standard_normal((6, 60))),
+            "wide": random_block(rng, 20, 40),
+        }
+        calls = {"scipy": 0, "hapod": 0}
+        for owner, name, key in ((scipy.linalg, "eigh", "scipy"), (POD, "_descending_eigh", "hapod")):
+            real = getattr(owner, name)
+
+            def spy(*args, real=real, key=key, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        for name, block in blocks.items():
+            before = dict(calls)
+            pod(block, 1e-6, want_right=True)
+            assert calls["scipy"] - before["scipy"] == calls["hapod"] - before["hapod"] == 1, name
+        assert pivoted_ranks == [(20, 20), (60, 6)]
 
 
 class TestUnalignedInput:
@@ -588,19 +614,19 @@ class TestFinishModes:
         weights = rng.uniform(0.5, 2.0, dim) if weighted else None
         block = spectrum_block(rng, dim, cols, np.exp(-0.3 * np.arange(30)), weights)
         finishing, late = [], []
-        real_gram, real_finish = InnerProductSpace.gram, POD._from_spectrum
+        real_gram, real_finish = InnerProductSpace.gram, POD._finish_modes
 
         def gram(self, a, b):
             if finishing:
                 late.append(a.shape)
             return real_gram(self, a, b)
 
-        def from_spectrum(*args, **kwargs):
+        def finish_modes(*args, **kwargs):
             finishing.append(True)
             return real_finish(*args, **kwargs)
 
         monkeypatch.setattr(InnerProductSpace, "gram", gram)
-        monkeypatch.setattr(POD, "_from_spectrum", from_spectrum)
+        monkeypatch.setattr(POD, "_finish_modes", finish_modes)
         backend = PodBackend("gram" if route == "wide" else "svd")
         out = pod(block, 1e-6, backend, want_right=True)
         assert finishing and late == []
@@ -681,13 +707,13 @@ class TestRangeSolve:
                                                       burgers_merges):
         _, merges = burgers_merges
         block, eps = merges[-1]
-        sizes, real = [], scipy.linalg.eigh
+        sizes, real = [], POD._descending_eigh
 
         def spy(a, *args, **kwargs):
             sizes.append(a.shape)
             return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        monkeypatch.setattr(POD, "_descending_eigh", spy)
         pod(block, eps)
         ((m, q),) = pivoted_ranks
         assert m == block.count and 3 * q < m
@@ -847,25 +873,46 @@ class TestValidation:
 
 
 class TestPassFull:
-    """`pod(..., pass_full=True)` hands back the raw columns of a tall block
-    whose every singular value exceeds epsilon, and decomposes otherwise."""
+    """A leaf below the root (`_leaf_step`) hands up the raw columns of a
+    tall block whose every singular value exceeds epsilon, and decomposes
+    otherwise."""
 
     SIGMAS = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
 
-    def assert_same(self, a, b):
-        assert a.orthonormal == b.orthonormal and a.tail_energy == b.tail_energy
-        assert np.array_equal(a.sigmas, b.sigmas)
-        assert np.array_equal(a.modes, b.modes)
-        assert (a.right is None) == (b.right is None)
-        if a.right is not None:
-            assert np.array_equal(a.right, b.right)
+    @staticmethod
+    def leaf(block, eps, backend=None):
+        """The leaf's output and its right vectors."""
+        return POD._leaf_step(block, eps, backend, want_right=True)
 
-    def assert_passthrough(self, out, block):
-        assert not out.orthonormal
-        assert np.array_equal(out.modes, block.values)
+    def assert_same(self, leaf, ref):
+        # decomposed by `pod`: the modes, scaled by their sigmas
+        out, right = leaf
+        assert out.coef is out.sigmas and out.tail_energy == ref.tail_energy
+        assert np.array_equal(out.sigmas, ref.sigmas)
+        assert np.array_equal(out.columns, ref.modes)
+        assert (right is None) == (ref.right is None)
+        if right is not None:
+            assert np.array_equal(right, ref.right)
+
+    def assert_factored(self, leaf, ref, block):
+        # the same POD stopped after its eigensolve: the leaf's own columns
+        # times its right vectors psi, before the sign convention
+        out, right = leaf
+        assert out.columns is block.values and out.coef is right
+        assert out.tail_energy == ref.tail_energy
+        assert np.array_equal(out.sigmas, ref.sigmas)
+        signs = np.sign(np.sum(right * ref.right, axis=0))
+        assert np.array_equal(right * signs, ref.right)
+        scaled = block.values @ right * signs
+        assert np.allclose(scaled, ref.scaled(), rtol=0.0, atol=1e-12 * self.SIGMAS[0])
+
+    def assert_passthrough(self, leaf, block):
+        out, right = leaf
+        assert out.coef is None
+        assert np.array_equal(out.columns, block.values)
         assert np.array_equal(out.sigmas, np.ones(block.count))
         assert out.tail_energy == 0.0
-        assert np.array_equal(out.right, np.eye(block.count))
+        assert np.array_equal(right, np.eye(block.count))
 
     @pytest.mark.parametrize("panels", [1, 3])
     def test_below_smallest_sigma_passes_through(self, monkeypatch, panels):
@@ -873,39 +920,39 @@ class TestPassFull:
         if panels > 1:
             monkeypatch.setattr(POD, "BATCH_BYTES", 8 * 4 * 5)
         assert len(POD._row_panels(12, 5)) == panels
-        self.assert_passthrough(pod(block, 0.9, want_right=True, pass_full=True), block)
+        self.assert_passthrough(self.leaf(block, 0.9), block)
 
     @pytest.mark.parametrize("eps", [1.1, 2.5, 10.0])
     def test_above_smallest_sigma_is_unchanged(self, eps):
         block = spectrum_block(np.random.default_rng(93), 12, 5, self.SIGMAS)
-        out = pod(block, eps, want_right=True, pass_full=True)
-        self.assert_same(out, pod(block, eps, want_right=True))
-        assert out.orthonormal and out.count < block.count
+        out = self.leaf(block, eps)
+        self.assert_factored(out, pod(block, eps, want_right=True), block)
+        assert out[0].coef is not None and out[0].count < block.count
 
     def test_skips_the_eigensolve(self, monkeypatch):
         block = spectrum_block(np.random.default_rng(95), 12, 5, self.SIGMAS)
         calls = []
-        real = scipy.linalg.eigh
-        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: calls.append(1) or real(*a, **k))
-        pod(block, 0.9, pass_full=True)
+        real = POD._descending_eigh
+        monkeypatch.setattr(POD, "_descending_eigh", lambda *a, **k: calls.append(1) or real(*a, **k))
+        self.leaf(block, 0.9)
         assert calls == []
-        pod(block, 1.1, pass_full=True)
+        self.leaf(block, 1.1)
         assert calls == [1]
 
     def test_wide_block_is_decomposed(self):
         # 5 rows, 12 columns: every nonzero sigma exceeds epsilon, but only
         # a tall block can hand its columns on
         block = spectrum_block(np.random.default_rng(97), 5, 12, self.SIGMAS)
-        out = pod(block, 0.9, want_right=True, pass_full=True)
+        out = self.leaf(block, 0.9)
         self.assert_same(out, pod(block, 0.9, want_right=True))
-        assert out.orthonormal and out.count == 5
+        assert out[0].coef is not None and out[0].count == 5
 
     def test_svd_backend_is_decomposed(self):
         block = spectrum_block(np.random.default_rng(99), 12, 5, self.SIGMAS)
         svd = PodBackend("svd")
-        out = pod(block, 0.9, svd, want_right=True, pass_full=True)
+        out = self.leaf(block, 0.9, svd)
         self.assert_same(out, pod(block, 0.9, svd, want_right=True))
-        assert out.orthonormal and out.count == 5
+        assert out[0].coef is not None and out[0].count == 5
 
     def test_weighted_block_checks_the_weighted_sigmas(self):
         # small weights make every Euclidean sigma exceed 3, while the
@@ -914,18 +961,18 @@ class TestPassFull:
         weights = rng.uniform(0.01, 0.1, 12)
         block = spectrum_block(rng, 12, 5, self.SIGMAS, weights)
         assert scipy.linalg.svdvals(block.values)[-1] > 3.0
-        out = pod(block, 1.5, want_right=True, pass_full=True)
-        self.assert_same(out, pod(block, 1.5, want_right=True))
-        assert out.count == 4
-        self.assert_passthrough(pod(block, 0.9, want_right=True, pass_full=True), block)
+        out = self.leaf(block, 1.5)
+        self.assert_factored(out, pod(block, 1.5, want_right=True), block)
+        assert out[0].count == 4
+        self.assert_passthrough(self.leaf(block, 0.9), block)
 
     def test_rank_deficient_block_is_decomposed(self):
         rng = np.random.default_rng(103)
         values = rng.standard_normal((12, 5))
         values[:, 4] = values[:, 0]
         block = SnapshotBlock(euclid(12), values)
-        out = pod(block, 1e-3, pass_full=True)
-        assert out.orthonormal and out.count == 4
+        out, _ = self.leaf(block, 1e-3)
+        assert out.coef is not None and out.count == 4
 
     def test_passthrough_prior_stacks_unscaled(self, monkeypatch):
         rng = np.random.default_rng(105)
