@@ -12,24 +12,28 @@ the weighted snapshot matrix, which does not square the condition number.
 The Gramian route is the method of snapshots on a block X: the block itself
 when it is tall, the transpose of its weighted values when it is wide, whose
 Gramian is the correlation matrix and whose left and right vectors swap
-places.  X is split into fixed row panels of about `BATCH_BYTES` each, so a
-wide block is split into column groups: the partial Gramians X_p^T W_p X_p
-are added in panel order, one eigendecomposition follows, and the products
-X_p psi / sigma are assembled a panel at a time.  The panels depend on the
-block's shape only, so the result does not depend on which threads run
-them: other threads may run panels, but the calling thread alone adds their
-partial Gramians, in panel order (`_pooled_spread`).  A block of one panel
-takes exactly the unpanelled route.  A node below the root hands its parent
-one record (A, R, sigma, tail), `_NodeOutput`, whose scaled modes sigma phi
-are A R: R is None for raw columns A, the sigmas for orthonormal modes A, or
-the k right vectors psi of a truncating tall leaf, A its own columns, whose
-product A psi is never formed (`_leaf_step`).  The parent stacks the parts
-(A, R) (`SnapshotBlock._stack`).  A panel of a tall stack writes A[rows] R
-only for its own rows, so the stacked input of a tall node is never held
-whole, and the assembly folds R into its coefficients instead of writing
-them again.  Blocks and mode sets hold a read-only view of the caller's
-array in its memory order, so the array must not change while they are in
-use; only `_blas_ready` copies, rows BLAS cannot read.
+places.  X is split into fixed row panels of about `BATCH_BYTES` each: the
+partial Gramians X_p^T W_p X_p are added in panel order, one
+eigendecomposition follows, and the products X_p psi / sigma are assembled a
+panel at a time.  A wide block's panels are column groups of at most d
+columns, each weighed and transposed when it runs, so X is never held whole
+and no panel is larger than the d x d partial Gramian it feeds.  The panels
+depend on the block's shape only, so the result does not depend on which
+threads run them.  Other threads may run the panels of a node whose panels
+have more rows than columns, so that each partial Gramian is smaller than
+its panel, but the calling thread alone adds them, in panel order
+(`_pooled_spread`); any other node runs its panels on its own thread.  A
+block of one panel takes exactly the unpanelled route.  A node below the
+root hands its parent one record (A, R, sigma, tail), `_NodeOutput`, whose
+scaled modes sigma phi are A R: R is None for raw columns A, the sigmas for
+orthonormal modes A, or the k right vectors psi of a truncating tall leaf, A
+its own columns, whose product A psi is never formed (`_leaf_step`).  The
+parent stacks the parts (A, R) (`SnapshotBlock._stack`).  A panel of a
+stack writes A R only for its own rows, or its own columns when wide, so the
+stacked input of a node is never held whole, and the assembly of a tall one
+folds R into its coefficients instead of writing them again.  Blocks and mode sets hold a read-only view
+of the caller's array in its memory order, so the array must not change
+while they are in use; only `_blas_ready` copies, panels BLAS cannot read.
 
 The eigendecomposition is LAPACK's divide and conquer, written over the
 Gramian, which must be finite.  A tall block's Gramian G is first factored by
@@ -215,25 +219,31 @@ class _ColumnStack:
     """The d x n values [A_1 R_1 | A_2 R_2 | ...] of a stacked block, where
     R_i is None (A_i as it is), a column scale (A_i diag(R_i)) or a
     coefficient matrix (the product A_i @ R_i).  They are never held whole: a
-    row slice writes only its own rows (C order), and ``np.asarray`` writes
-    them all for the routes that need the whole."""
+    slice of rows, or of rows and a column range, writes only those (C
+    order), and ``np.asarray`` writes them all for the routes that need the
+    whole."""
 
     def __init__(self, parts):
         self.parts = [(a, r, a.shape[1] if r is None or r.ndim == 1 else r.shape[1]) for a, r in parts]
         self.shape = (self.parts[0][0].shape[0], sum(k for _, _, k in self.parts))
         self.nbytes = 8 * self.shape[0] * self.shape[1]
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
+    def __getitem__(self, index) -> np.ndarray:
+        rows, cols = index if isinstance(index, tuple) else (index, slice(None))
         start, stop, _ = rows.indices(self.shape[0])
-        out = np.empty((stop - start, self.shape[1]))
+        a, b, _ = cols.indices(self.shape[1])
+        out = np.empty((stop - start, b - a))
         at = 0
-        for a, r, k in self.parts:
-            if r is None:
-                out[:, at : at + k] = a[rows]
-            elif r.ndim == 1:
-                np.multiply(a[rows], r[None, :], out=out[:, at : at + k])
-            else:
-                np.matmul(_blas_ready(a[rows]), r, out=out[:, at : at + k])
+        for part, r, k in self.parts:
+            lo, hi = max(a - at, 0), min(b - at, k)
+            if lo < hi:
+                dst = out[:, at + lo - a : at + hi - a]
+                if r is None:
+                    dst[...] = part[rows, lo:hi]
+                elif r.ndim == 1:
+                    np.multiply(part[rows, lo:hi], r[lo:hi], out=dst)
+                else:
+                    np.matmul(_blas_ready(part[rows]), r[:, lo:hi], out=dst)
             at += k
         return out
 
@@ -359,7 +369,13 @@ def truncation_rank(sigmas: np.ndarray, epsilon: float) -> int:
 
 
 def gramian(block: SnapshotBlock) -> np.ndarray:
-    """The m x m matrix of pairwise snapshot inner products, explicitly symmetrized."""
+    """The m x m matrix of pairwise snapshot inner products, exactly symmetric.
+    Unweighted, it is S^T S of one operand BLAS can read, which NumPy hands to
+    syrk: one triangle is computed and mirrored.  A weighted S^T (W S) is a
+    general product, explicitly symmetrized."""
+    if block.space.weights is None:
+        v = _blas_ready(block.values)
+        return v.T @ v
     g = block.space.gram(block.values, block.values)
     g = g + g.T
     g *= 0.5
@@ -470,10 +486,10 @@ def _range_eigh(g: np.ndarray, factor: float):
     return lam, vectors
 
 
-def _row_panels(d: int, m: int) -> list[tuple[int, int]]:
+def _row_panels(d: int, m: int, least: int = 1) -> list[tuple[int, int]]:
     """Row ranges a:b splitting a d x m block into about d*m*8 / BATCH_BYTES
-    equal panels: a function of the shape only."""
-    count = min(d, max(1, -(-8 * d * m // BATCH_BYTES)))
+    equal panels, at least `least` of them: a function of the shape only."""
+    count = min(d, max(least, -(-8 * d * m // BATCH_BYTES)))
     edges = [d * p // count for p in range(count + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -497,26 +513,34 @@ def _pooled_spread(pool=None, helpers: int = 0):
 
     Helpers only claim panels in order, run them and park each result or
     exception.  The calling thread claims and runs panels too, and it alone
-    hands the results to `take`, in panel order, dropping each once handed;
-    it waits only for a panel another thread has claimed, which that thread
-    is already running, so no thread ever waits on a task that no free
-    thread can start.  A helper that starts after every panel is claimed
-    returns at once.  On a failure nothing new is claimed, and the exception
-    of the first failing panel is raised once every claimed panel has
-    finished.  Without helpers the panels run in order on the calling thread.
+    hands the results to `take`, in panel order, dropping each once handed.
+    A panel is claimed only within `helpers` panels of the one handed on
+    next, its turn, so at most `helpers` results wait behind the turn's
+    panel, however slow it is.  The calling thread waits only for the turn's
+    panel once it is claimed, which the thread that claimed it is already
+    running, and a helper only for that panel to be handed on, so no thread
+    ever waits on a task that no free thread can start.  A helper that starts after every
+    panel is claimed returns at once.  On a failure nothing new is claimed,
+    and the exception of the first failing panel is raised once every
+    claimed panel has finished.  Without helpers the panels run in order on
+    the calling thread.
     """
 
     def spread(fn, count, take=None):
         parked: dict[int, tuple] = {}  # finished panels not yet handed on: (result, exception)
-        claimed = 0
+        claimed = turn = 0  # panels claimed; the panel handed on next
         end = count  # panels from here on are not claimed
         lock = threading.Condition()
 
         def run_next(due=None) -> bool:
-            """Claim and run the next panel, unless none is left or `due` is parked."""
+            """Claim and run the next panel, unless none is left within
+            `helpers` of the turn or `due` is parked; a helper (no `due`)
+            first waits for one."""
             nonlocal claimed
             with lock:
-                if claimed >= end or due in parked:
+                if due is None:
+                    lock.wait_for(lambda: claimed >= end or claimed <= turn + helpers)
+                if claimed >= end or claimed > turn + helpers or due in parked:
                     return False
                 p = claimed
                 claimed += 1
@@ -547,11 +571,14 @@ def _pooled_spread(pool=None, helpers: int = 0):
                 except Exception as failure:
                     exc = failure
             del out
-            if exc is not None:
-                with lock:
+            with lock:
+                turn = due + 1
+                if exc is not None:
                     end = claimed
-                    lock.wait_for(lambda: len(parked) == claimed - due - 1)
+                    lock.wait_for(lambda: len(parked) == claimed - turn)
                     parked.clear()
+                lock.notify_all()
+            if exc is not None:
                 raise exc
 
     return spread
@@ -580,12 +607,12 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
         coefficients through a hierarchy).
     spread
         ``spread(fn, count, take)`` runs ``fn(0), ..., fn(count - 1)``, the
-        row panels of the Gramian route (column groups of a wide block), and
-        hands each result to ``take`` (if given) on the calling thread, in
-        panel order, as soon as it and those before it are done; see
-        `_pooled_spread`.  The default runs
+        row panels of the Gramian route, and hands each result to ``take``
+        (if given) on the calling thread, in panel order, as soon as it and
+        those before it are done; see `_pooled_spread`.  The default runs
         them in order on the calling thread, the executor lets idle pool
-        threads take some.  The result does not depend on it.
+        threads take some of a node whose panels are taller than wide.  The
+        result does not depend on it.
 
     Returns
     -------
@@ -640,29 +667,42 @@ def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool = F
     ``product(coef)``, X @ coef assembled over the row panels of X."""
     space = block.space
     m, d = block.count, space.dimension
-    if m <= d:
-        x = block
-    else:
-        # a wide block squares its transpose X = (W^(1/2) S)^T, a Euclidean
-        # m x d block: the Gramian of X is the correlation matrix, its
-        # eigenvectors unweighed are the modes, and X psi / sigma are the
-        # right vectors
-        x = block._part(space.weigh(_panel(block, 0, d).values).T, InnerProductSpace(m))
+    wide = m > d
     # method of snapshots over fixed row panels of X: G = sum_p X_p^T W_p X_p
     # added in panel order as the panels finish, then X_p psi / sigma one
-    # panel at a time
-    spread = spread or _pooled_spread()
-    rows, cols = x.values.shape
-    panels = _row_panels(rows, cols)
+    # panel at a time.  A wide block squares its transpose X = (W^(1/2) S)^T,
+    # a Euclidean m x d block: the Gramian of X is the correlation matrix,
+    # its eigenvectors unweighed are the modes, and X psi / sigma are the
+    # right vectors.  Its panels, column groups of S of at most d columns,
+    # are formed when they run, so X is never held whole.
+    rows, cols = (m, d) if wide else (d, m)
+    panels = _row_panels(rows, cols, -(-m // d) if wide else 1)
     # each panel's space (a slice of the weights) is built once and serves
     # both passes; a single panel is also taken once
-    w = x.space.weights
+    w = None if wide else space.weights
     spaces = [InnerProductSpace(b - a, None if w is None else w[a:b]) for a, b in panels]
-    whole = _panel(x, 0, rows, spaces[0]) if len(panels) == 1 else None
+
+    def form(p):
+        a, b = panels[p]
+        if not wide:
+            return _panel(block, a, b, spaces[p])
+        # a view of the columns if BLAS can read them; a stack writes only
+        # these, and a copy is weighed in place
+        c = _blas_ready(block.values[:, a:b])
+        if space.weights is not None:
+            c = np.multiply(c, space._sqrt_w[:, None], out=c if c.flags.owndata else None)
+        return _unchecked(spaces[p], c.T)
+
+    whole = form(0) if len(panels) == 1 else None
 
     def panel(p):
-        return whole if whole is not None else _panel(x, *panels[p], spaces[p])
+        return whole if whole is not None else form(p)
 
+    # a panel no taller than it is wide feeds a partial Gramian no smaller
+    # than itself, so such a node runs its panels on its own thread: each
+    # panel finished ahead of its turn elsewhere would park one
+    if panels[0][1] - panels[0][0] <= cols or spread is None:
+        spread = _pooled_spread()
     g = None
 
     def add(part):
@@ -684,12 +724,12 @@ def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool = F
             pass
         else:
             return None
-    lam, vectors = (_range_eigh if m <= d else _descending_eigh)(g, DEFAULT_GRAM_CUTOFF * m)
+    lam, vectors = (_descending_eigh if wide else _range_eigh)(g, DEFAULT_GRAM_CUTOFF * m)
     del g
 
-    # a stack of several panels is not written again: each part's rows are
-    # multiplied in place of the stacked rows
-    stack = x.values if isinstance(x.values, _ColumnStack) and whole is None else None
+    # a tall stack of several panels is not written again: each part's rows
+    # are multiplied in place of the stacked rows
+    stack = block.values if not wide and isinstance(block.values, _ColumnStack) and whole is None else None
 
     def product(coef):
         out = np.zeros((rows, coef.shape[1]))

@@ -98,9 +98,10 @@ class TestRunParallel:
         tree = build_star(3)
         leaves = distribute_columns(tree, block)
         tol = assign_tolerances(tree, leaves, 1e-9)
-        # leaves of 20 columns in 20 panels of 10 rows; leaf 2's last one fails
-        monkeypatch.setattr(pod_module, "BATCH_BYTES", 8 * 10 * 20)
-        last = leaves.blocks[2].values[-10:]
+        # leaves of 20 columns in 5 panels of 40 rows, taller than wide, so
+        # the pool runs them; leaf 2's last one fails
+        monkeypatch.setattr(pod_module, "BATCH_BYTES", 8 * 40 * 20)
+        last = leaves.blocks[2].values[-40:]
         real = pod_module.gramian
 
         def fail_last_panel(b):
@@ -278,6 +279,72 @@ class TestPooledSpread:
         assert [p for p, _ in took] == list(range(120))
         assert {t for _, t in took} == {threading.get_ident()}
         assert len(ran) > 1
+
+    def test_parks_at_most_one_result_per_helper(self):
+        # the helper's first panel is held until the calling thread has run
+        # every other panel, or for half a second: claims must stop once
+        # `helpers` results wait behind it, never run on through the rest
+        count, caller = 20, threading.get_ident()
+        holding, release, lock = threading.Event(), threading.Event(), threading.Lock()
+        finished, taken, ahead = set(), [], []
+
+        def panel(p):
+            if threading.get_ident() == caller:
+                holding.wait(timeout=5.0)
+            elif not holding.is_set():
+                holding.set()
+                release.wait(timeout=0.5)
+            if p == count - 1:
+                release.set()
+            with lock:
+                finished.add(p)
+                # finished, and behind a panel not yet handed on
+                ahead.append(sum(q > len(taken) for q in finished))
+            return p
+
+        def take(p):
+            with lock:
+                taken.append(p)
+
+        with ThreadPoolExecutor(2) as pool:
+            _pooled_spread(pool, 1)(panel, count, take)
+        assert holding.is_set()
+        assert taken == list(range(count))
+        assert max(ahead) <= 1
+
+    def test_parking_bound_holds_under_contention(self):
+        # six threads on fewer cores and a short switch interval: every
+        # panel runs once, the results come back in order, and no more than
+        # `helpers` results ever finish ahead of their turn
+        count, helpers = 300, 5
+        lock = threading.Lock()
+        ran, finished, taken, ahead = [], set(), [], []
+
+        def panel(p):
+            time.sleep(0)
+            with lock:
+                ran.append(p)
+                finished.add(p)
+                ahead.append(sum(q > len(taken) for q in finished))
+            return p
+
+        def take(p):
+            with lock:
+                taken.append(p)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(helpers + 1) as pool:
+                runner = threading.Thread(target=_pooled_spread(pool, helpers), args=(panel, count, take))
+                runner.start()
+                runner.join(timeout=60)
+                assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert taken == list(range(count))
+        assert sorted(ran) == list(range(count))
+        assert max(ahead) <= helpers
 
     def test_failing_take_waits_for_the_claimed_panels(self):
         # take fails on the first result while helpers still run panels

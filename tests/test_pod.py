@@ -25,6 +25,7 @@ from hapod import (
     gramian,
     pod,
     run_parallel,
+    synthetic_decay,
     truncation_rank,
 )
 from hapod.io import load_snapshots, write_matrix
@@ -103,6 +104,37 @@ class TestGramian:
                 ref = float(np.sum(w * block.values[:, i] * block.values[:, j]))
                 assert abs(g[i, j] - ref) < 1e-12
         assert np.array_equal(g, g.T)
+
+    def test_unweighted_is_exactly_symmetric(self):
+        # S^T S of one BLAS operand goes through syrk, which mirrors one
+        # triangle: exactly symmetric in any memory order, which is why an
+        # unweighted Gramian needs no symmetrizing pass
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((300, 70))
+        views = {
+            "C order": a,
+            "F order": np.asfortranarray(a),
+            "transposed": rng.standard_normal((70, 300)).T,
+            "column range": a[:, 5:60],
+            "row range of F order": np.asfortranarray(a)[20:250],
+            "no unit stride": a[:, ::2],
+        }
+        for name, values in views.items():
+            g = gramian(SnapshotBlock(euclid(values.shape[0]), values))
+            assert np.array_equal(g, g.T), name
+            assert np.allclose(g, values.T @ values, rtol=1e-13, atol=1e-12), name
+
+    def test_weighted_is_symmetrized(self):
+        # S^T (W S) is a general product, not symmetric in rounding: it is
+        # averaged with its transpose
+        rng = np.random.default_rng(17)
+        w = rng.uniform(0.5, 2.0, 300)
+        block = random_block(rng, 300, 70, weights=w)
+        h = block.values.T @ (w[:, None] * block.values)
+        assert not np.array_equal(h, h.T)
+        g = gramian(block)
+        assert np.array_equal(g, g.T)
+        assert np.array_equal(g, (h + h.T) * 0.5)
 
 
 class TestPodAgainstDenseSvd:
@@ -469,9 +501,55 @@ class TestRowPanels:
 
         monkeypatch.setattr(POD, "gramian", spy)
         pod(block, 0.5)
-        # four panels of 15 rows: the products add up to one 60-row Gramian
-        # (of the transpose, for the wide block)
-        assert shapes == [(15, 5)] * 4
+        # the tall block takes four panels of 15 rows, whose products add up
+        # to one 60-row Gramian; the wide block's column groups hold at most
+        # dim columns, so its transpose takes twelve panels of 5 rows
+        assert shapes == ([(15, 5)] * 4 if dim > cols else [(5, 5)] * 12)
+
+    def test_mapped_wide_block_holds_a_few_panels(self, tmp_path):
+        # a wide block is read one column group of at most d columns at a
+        # time, so a flat POD of a mapped 500 x 8000 file (32 MB, unaligned
+        # behind its header) holds its 500 x 500 correlation matrix and a few
+        # panels of that size, not a 32 MB copy of the payload
+        path = tmp_path / "wide.hpd"
+        values = synthetic_decay(500, 8000, 0.02, seed=0).values
+        write_matrix(path, values)
+        eps = math.sqrt(8000) * 0.75 * 1e-3
+        ref = pod(SnapshotBlock(euclid(500), values), eps)
+        del values
+        block = load_snapshots(path)
+        assert not block.values.flags.aligned
+        tracemalloc.start()
+        try:
+            out = pod(block, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.count == ref.count == 216
+        assert np.allclose(out.sigmas, ref.sigmas, rtol=1e-12, atol=0.0)
+        assert peak < 12e6
+
+    def test_stack_writes_any_column_range(self):
+        # a column group of a stack crosses the parts' edges anywhere; the
+        # product of a coefficient part may round differently per range
+        rng = np.random.default_rng(97)
+        child = pod(random_block(rng, 30, 12), 0.8)
+        leaf = rng.standard_normal((30, 9))
+        psi = np.linalg.qr(rng.standard_normal((9, 4)))[0]
+        fresh = rng.standard_normal((30, 5))
+        parts = [(child.modes, child.sigmas), (leaf, psi), (fresh, None)]
+        stack = _ColumnStack(parts)
+        dense = np.hstack([child.scaled(), leaf @ psi, fresh])
+        assert stack.shape == dense.shape
+        product = np.zeros(dense.shape[1], dtype=bool)
+        product[child.count : child.count + 4] = True
+        for a in range(dense.shape[1]):
+            for b in range(a + 1, dense.shape[1] + 1):
+                got = stack[:, a:b]
+                assert got.flags.c_contiguous
+                exact = ~product[a:b]
+                assert np.array_equal(got[:, exact], dense[:, a:b][:, exact]), (a, b)
+                assert np.allclose(got, dense[:, a:b], rtol=0.0, atol=1e-14), (a, b)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_partial_gramians_are_summed_as_they_come(self, monkeypatch, weighted):
