@@ -19,7 +19,7 @@ import scipy.linalg
 
 from . import io as hio
 from .datagen import BurgersConfig, GenerationError, burgers_snapshots, synthetic_decay
-from .hierarchy import NodeReport, actual_mean_error, assign_tolerances, distribute_columns
+from .hierarchy import NodeReport, _check_rule, actual_mean_error, assign_tolerances, distribute_columns
 from .parallel import run_parallel
 from .pod import InnerProductSpace, ModeSet, PodBackend, pod, truncation_rank
 from .tree import RootedTree, build_balanced, build_chain, build_star, derive_maps, format_tree_text, parse_tree_text
@@ -124,8 +124,9 @@ def cmd_gen(args) -> int:
 
 
 def _pick_topology(topology: str, total_columns: int, blocks: int | None = None,
-                   block_size: int | None = None, depth: int | None = None) -> RootedTree:
-    name = topology
+                   block_size: int | None = None) -> RootedTree:
+    """The tree a topology name asks for; ``balanced:N`` names its depth, 2 if left out."""
+    name, depth = topology, 2
     if name.startswith("file:"):
         path = name[len("file:") :]
         return parse_tree_text(Path(path).read_text())
@@ -152,7 +153,7 @@ def _pick_topology(topology: str, total_columns: int, blocks: int | None = None,
     if name == "chain":
         return build_chain(k)
     if name == "balanced":
-        return build_balanced(k, depth if depth is not None else 2)
+        return build_balanced(k, depth)
     raise ValueError(f"unknown topology {topology!r} (star, chain, balanced[:depth], file:PATH)")
 
 
@@ -185,7 +186,7 @@ def cmd_run(args) -> int:
     block = hio.load_snapshots(args.input)
     if block.count == 0:
         raise ValueError(f"{args.input}: no snapshot columns")
-    tree = _pick_topology(args.topology, block.count, args.blocks, args.block_size, args.depth)
+    tree = _pick_topology(args.topology, block.count, args.blocks, args.block_size)
     maps = derive_maps(tree)
     leaves = distribute_columns(tree, block, block_size=args.block_size, maps=maps)
     tol = assign_tolerances(tree, leaves, args.eps_star, args.omega)
@@ -406,7 +407,7 @@ def cmd_bench(args) -> int:
             f"{size}\tpod\t1\t{size}\t{repr(flat_time)}\t{repr(flat_time)}\t{flat.count}"
         )
         for name in topologies:
-            tree = _pick_topology(name, size, block_size=args.block_size, depth=args.depth)
+            tree = _pick_topology(name, size, block_size=args.block_size)
             maps = derive_maps(tree)
             leaves = distribute_columns(tree, data, block_size=args.block_size, maps=maps)
             tol = assign_tolerances(tree, leaves, args.eps_star, args.omega)
@@ -440,10 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def omega(text: str) -> float:
         # the root's share of the error budget, for run and bench alike
-        value = float(text)
-        if not 0.0 < value <= 1.0:
-            raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
-        return value
+        return _check_rule(float(text))
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -473,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--topology", required=True, help="star | chain | balanced[:depth] | file:PATH")
     run.add_argument("--blocks", type=int, default=None)
     run.add_argument("--block-size", type=int, default=None)
-    run.add_argument("--depth", type=int, default=None)
     run.add_argument("--backend", choices=("gram", "svd"), default="gram")
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--track-right-factor", action="store_true")
@@ -491,8 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--rows", type=int, default=500)
     ben.add_argument("--sizes", required=True, help="comma-separated snapshot counts")
     ben.add_argument("--block-size", type=int, default=100)
-    ben.add_argument("--depth", type=int, default=2)
-    ben.add_argument("--topologies", default="balanced", help="comma list of star,chain,balanced")
+    ben.add_argument("--topologies", default="balanced", help="comma list of star, chain, balanced[:depth]")
     ben.add_argument("--decay-rate", type=float, default=0.02)
     ben.add_argument("--eps-star", type=float, default=1e-3)
     ben.add_argument("--omega", type=omega, default=0.75)

@@ -167,11 +167,14 @@ def distribute_columns(tree: RootedTree, block: SnapshotBlock, counts=None,
     return LeafAssignment(blocks)
 
 
-def _check_rule(target: float, omega: float) -> None:
-    if target <= 0.0:
-        raise ValueError("target must be positive")
-    if not (0.0 <= omega <= 1.0):
-        raise ValueError(f"omega must lie in [0, 1], got {omega}")
+def _check_rule(omega: float, target: float = 1.0) -> float:
+    """The one check of the rule's parameters: the root's share omega of the
+    budget lies in (0, 1], so the root truncates, and target > 0."""
+    if not target > 0.0:
+        raise ValueError(f"target must be positive, got {target}")
+    if not 0.0 < omega <= 1.0:
+        raise ValueError(f"omega must lie in (0, 1], got {omega}")
+    return omega
 
 
 def _tolerance(count: int, target: float, omega: float, depth: int, is_root: bool) -> float:
@@ -186,18 +189,18 @@ def assign_tolerances(tree: RootedTree, leaf_counts, target: float, omega: float
                       zero_leaf_tolerance: bool = False) -> ToleranceAssignment:
     """Per-node tolerances that certify a mean squared projection error <= target**2.
 
-    The root receives sqrt(total) * omega * target; every other node alpha
-    receives sqrt(count below alpha) * sqrt(1 - omega**2) / sqrt(depth - 1) *
-    target.  omega near 1 shrinks the final basis at the price of fatter
-    intermediate PODs, omega near 0 the reverse.  zero_leaf_tolerance switches
-    the leaves to epsilon = 0 (pure passthrough), the usual choice for
-    incremental processing where leaf blocks are raw data anyway.
+    The root receives sqrt(total) * omega * target, omega in (0, 1] (see
+    `_check_rule`); every other node alpha receives sqrt(count below alpha) *
+    sqrt(1 - omega**2) / sqrt(depth - 1) * target.  omega near 1 shrinks the
+    final basis at the price of fatter intermediate PODs, omega near 0 the
+    reverse.  zero_leaf_tolerance switches the leaves to epsilon = 0 (pure
+    passthrough), the usual choice for incremental processing.
 
     leaf_counts may be a LeafAssignment or a mapping leaf id -> column count.
     """
     if isinstance(leaf_counts, LeafAssignment):
         leaf_counts = leaf_counts.counts()
-    _check_rule(target, omega)
+    _check_rule(omega, target)
     maps = derive_maps(tree, leaf_counts)
     if maps.subordinate_leaf_counts[tree.root] == 0:
         raise ValueError("no snapshots anywhere in the tree")
@@ -375,7 +378,7 @@ class IncrementalSession:
 
     def __init__(self, target: float, omega: float, planned_block_count: int,
                  backend: PodBackend | None = None):
-        _check_rule(target, omega)
+        _check_rule(omega, target)
         if planned_block_count < 1:
             raise ValueError("planned_block_count must be at least 1")
         self.target = float(target)

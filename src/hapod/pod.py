@@ -323,8 +323,8 @@ class _NodeOutput(NamedTuple):
 
 
 def _scaled(out: ModeSet) -> _NodeOutput:
-    # unit sigmas scale a passthrough set's raw columns exactly
-    return _NodeOutput(out.modes, out.sigmas, out.sigmas, out.tail_energy)
+    """A `ModeSet` as the record a parent stacks: R the sigmas, None for raw columns."""
+    return _NodeOutput(out.modes, out.sigmas if out.orthonormal else None, out.sigmas, out.tail_energy)
 
 
 @dataclass(frozen=True)
@@ -750,13 +750,13 @@ def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool = F
 def _leaf_step(block: SnapshotBlock, epsilon: float, backend: PodBackend | None,
                want_right: bool = False, spread=None):
     """The `_NodeOutput` of a leaf whose output only its parent reads, and its
-    right vectors if wanted.  At epsilon = 0, and on the tall "gram" route
-    when a Cholesky of G - epsilon^2 I succeeds, so that truncation would keep
-    every column, the raw columns pass through undecomposed, with unit sigmas
-    and right vectors I.  A tall "gram" block that truncates stops after its
-    eigensolve: its own columns S with its k right vectors psi, whose product
-    S psi is the scaled modes sigma phi the parent stacks, so no d x k modes
-    are formed, mended or sign-fixed.  Any other leaf is decomposed by `pod`."""
+    right vectors if wanted.  On the tall "gram" route, when a Cholesky of
+    G - epsilon^2 I succeeds, truncation would keep every column, so the leaf
+    takes `pod`'s epsilon = 0 passthrough: its raw columns, undecomposed, with
+    unit sigmas and right vectors I.  A tall "gram" block that truncates stops
+    after its eigensolve: its own columns S with its k right vectors psi, whose
+    product S psi is the scaled modes sigma phi the parent stacks, so no d x k
+    modes are formed, mended or sign-fixed.  Any other leaf is `pod`'s."""
     m = block.count
     if epsilon > 0.0 and (backend or PodBackend()).kind == "gram" and 0 < m <= block.space.dimension:
         step = _gram_step(block, epsilon, spread, pass_full=True)
@@ -766,10 +766,9 @@ def _leaf_step(block: SnapshotBlock, epsilon: float, backend: PodBackend | None,
             # a contiguous copy: BLAS takes no reversed eigenvector columns
             psi = _read_only(np.ascontiguousarray(vectors(sig.size)))
             return _NodeOutput(block.values, psi, sig, tail), psi if want_right else None
-    elif epsilon > 0.0:
-        out = pod(block, epsilon, backend, want_right, spread)
-        return _scaled(out), out.right
-    return _NodeOutput(block.values, None, np.ones(m), 0.0), np.eye(m) if want_right else None
+        epsilon = 0.0  # truncation would keep every column
+    out = pod(block, epsilon, backend, want_right, spread)
+    return _scaled(out), out.right
 
 
 def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
@@ -778,14 +777,14 @@ def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
 
     The merge step of single-pass incremental compression: the scaled prior
     modes and the fresh columns are stacked and decomposed by `pod` with the
-    given backend, the same step a chain run's merge node performs.  A
-    passthrough prior (raw snapshots, unit sigmas) stacks unscaled.  A tall
-    stack is written a row panel at a time, never whole.
+    given backend, the same step a chain run's merge node performs.  The prior
+    stacks as a node's record (`_scaled`), so a passthrough prior (raw
+    snapshots, unit sigmas) stacks unscaled.  A tall stack is written a row
+    panel at a time, never whole.
     """
     if not prior.space.same_as(fresh.space):
         raise ValueError("prior modes and fresh block live in different spaces")
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
-    scale = prior.sigmas if prior.orthonormal else None
-    block = SnapshotBlock._stack(prior.space, [(prior.modes, scale), (fresh.values, None)])
+    block = SnapshotBlock._stack(prior.space, [_scaled(prior)[:2], (fresh.values, None)])
     return pod(block, epsilon, backend)

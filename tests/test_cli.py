@@ -101,12 +101,21 @@ class TestRun:
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
 
-    def test_depth_suffix_wins(self, synthetic_file, tmp_path):
+    def test_topology_names_the_depth(self, synthetic_file, tmp_path, capsys):
         out = tmp_path / "res3"
         code = run_cli("run", synthetic_file, "--out", out, "--eps-star", 0.01,
-                       "--topology", "balanced:3", "--blocks", 27, "--depth", 2)
+                       "--topology", "balanced:3", "--blocks", 27)
         assert code == 0
         assert int(read_kv(out / "summary.txt")["depth"]) == 4
+        capsys.readouterr()
+        # the suffix is the one way to name a depth
+        assert run_cli("run", synthetic_file, "--out", tmp_path / "d", "--eps-star", 0.01,
+                       "--topology", "balanced", "--blocks", 27, "--depth", 2) == 1
+        assert run_cli("bench", "--sizes", 50, "--block-size", 10, "--depth", 2) == 1
+        err = capsys.readouterr().err
+        assert err.count("--depth") == 2
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()
 
     def test_single_block_chain_equals_flat_pod(self, synthetic_file, tmp_path):
         import math

@@ -53,19 +53,35 @@ class TestAssignTolerances:
         for leaf in range(1, 5):
             assert tol.epsilons[leaf] == pytest.approx(0.33071891388307384, abs=1e-12)
 
-    def test_chain_omega_zero(self):
+    def test_chain_non_root_rule(self):
         tree = build_chain(3)
         maps = derive_maps(tree)
         counts = {leaf: 10 for leaf in maps.leaves}
-        tol = assign_tolerances(tree, counts, 1.0, omega=0.0)
-        assert tol.epsilons[tree.root] == 0.0
-        # the mid merge sees 20 snapshots, every leaf 10, and the budget
-        # splits over depth - 1 = 2 levels
+        tol = assign_tolerances(tree, counts, 1.0, omega=0.6)
+        assert tol.epsilons[tree.root] == pytest.approx(math.sqrt(30.0) * 0.6, rel=1e-12)
+        # the mid merge sees 20 snapshots, every leaf 10, and the non-root
+        # factor sqrt(1 - 0.6**2) = 0.8 splits over depth - 1 = 2 levels
         mid = [v for v in range(tree.node_count)
                if tree.children[v] and v != tree.root][0]
-        assert tol.epsilons[mid] == pytest.approx(math.sqrt(10.0), rel=1e-12)
+        assert tol.epsilons[mid] == pytest.approx(math.sqrt(10.0) * 0.8, rel=1e-12)
         for leaf in maps.leaves:
-            assert tol.epsilons[leaf] == pytest.approx(math.sqrt(5.0), rel=1e-12)
+            assert tol.epsilons[leaf] == pytest.approx(math.sqrt(5.0) * 0.8, rel=1e-12)
+
+    @pytest.mark.parametrize("omega", [0.0, -0.5, 1.5, float("nan")])
+    def test_omega_outside_its_range_is_refused(self, omega):
+        # omega = 0 would give the root epsilon 0, which hands back raw columns
+        tree = build_chain(3)
+        with pytest.raises(ValueError, match="omega"):
+            assign_tolerances(tree, {leaf: 10 for leaf in derive_maps(tree).leaves}, 0.1, omega)
+        with pytest.raises(ValueError, match="omega"):
+            IncrementalSession(0.1, omega, 3)
+
+    def test_nan_target_is_refused(self):
+        # a NaN target would give NaN tolerances: no modes and a NaN bound
+        with pytest.raises(ValueError, match="target"):
+            IncrementalSession(float("nan"), 0.75, 3)
+        with pytest.raises(ValueError, match="target"):
+            assign_tolerances(build_star(2), {1: 3, 2: 3}, float("nan"))
 
     def test_omega_one_zeroes_everything_but_root(self):
         tree = build_star(3)
