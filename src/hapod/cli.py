@@ -125,13 +125,16 @@ def cmd_gen(args) -> int:
 
 def _pick_topology(topology: str, total_columns: int, blocks: int | None = None,
                    block_size: int | None = None) -> RootedTree:
-    """The tree a topology name asks for; ``balanced:N`` names its depth, 2 if left out."""
+    """The tree a topology name asks for; only ``balanced:N`` takes a suffix,
+    its depth, 2 if left out."""
     name, depth = topology, 2
     if name.startswith("file:"):
         path = name[len("file:") :]
         return parse_tree_text(Path(path).read_text())
     if ":" in name:
         name, _, suffix = name.partition(":")
+        if name != "balanced":
+            raise ValueError(f"topology {topology!r}: only balanced takes a depth suffix")
         try:
             depth = int(suffix)
         except ValueError:
@@ -488,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--rows", type=int, default=500)
     ben.add_argument("--sizes", required=True, help="comma-separated snapshot counts")
     ben.add_argument("--block-size", type=int, default=100)
-    ben.add_argument("--topologies", default="balanced", help="comma list of star, chain, balanced[:depth]")
+    ben.add_argument("--topologies", default="balanced", help="comma list of star, chain, balanced[:depth], file:PATH")
     ben.add_argument("--decay-rate", type=float, default=0.02)
     ben.add_argument("--eps-star", type=float, default=1e-3)
     ben.add_argument("--omega", type=omega, default=0.75)

@@ -3,11 +3,12 @@
 A node becomes ready when its last child finishes; among ready nodes the one
 first in post-order starts first, so a single worker walks the tree in
 post-order.  A node's own row panels (see `hapod.pod.pod`), when taller
-than wide, run on the same pool: idle threads take some while the node's
-thread takes the rest, and the node's thread alone adds their results up, in
-panel order.  Workers only
-change wall time: node inputs are immutable and a node's panels are fixed by
-its shape, so sigmas come out bit-for-bit equal for any worker count.
+than wide, run as plain futures on the same pool, submitted at most one per
+other worker ahead of the panel due next: idle threads take some, the node's
+thread runs the rest, and it alone adds their results up, in panel order.
+Workers only change wall time: node inputs are immutable and a node's
+panels are fixed by its shape, so sigmas come out bit-for-bit equal for any
+worker count.
 """
 
 from __future__ import annotations
@@ -71,15 +72,15 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
     ready nodes in post-order.  NumPy's products drop the interpreter lock
     but scipy's `eigh` and `svd` hold it, so nodes overlap in their Gramian
     panels, not in their eigensolves.  The row panels of a node's POD, when
-    taller than wide, run on the same pool of worker_count threads: the
-    node's thread runs them in order while idle threads take panels it has
-    not reached, at most worker_count - 1 ahead of the one it adds next, and
-    the node's thread adds the results in panel order whoever ran them.  No
-    thread waits for a panel that nobody has started, and there is no
-    second pool.  Child
-    outputs are released when their parent finishes.  If a node raises, the
-    running nodes finish, nothing new starts, and the exception of the
-    lowest failing node id propagates with a note naming that node.
+    taller than wide, are submitted to the same pool as futures, at most
+    worker_count - 1 ahead of the one the node adds next; the node's thread
+    runs each one that no other thread has started, and adds the results in
+    panel order whoever ran them.  A pool thread runs one panel and is free
+    again, no thread waits for a panel that nobody has started, and there is
+    no second pool.  Child outputs are released when their parent finishes.
+    If a node raises, the running nodes finish, nothing new starts, and the
+    exception of the lowest failing node id propagates with a note naming
+    that node.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be at least 1")

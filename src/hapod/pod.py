@@ -19,21 +19,23 @@ panel at a time.  A wide block's panels are column groups of at most d
 columns, each weighed and transposed when it runs, so X is never held whole
 and no panel is larger than the d x d partial Gramian it feeds.  The panels
 depend on the block's shape only, so the result does not depend on which
-threads run them.  Other threads may run the panels of a node whose panels
-have more rows than columns, so that each partial Gramian is smaller than
-its panel, but the calling thread alone adds them, in panel order
-(`_pooled_spread`); any other node runs its panels on its own thread.  A
-block of one panel takes exactly the unpanelled route.  A node below the
-root hands its parent one record (A, R, sigma, tail), `_NodeOutput`, whose
-scaled modes sigma phi are A R: R is None for raw columns A, the sigmas for
-orthonormal modes A, or the k right vectors psi of a truncating tall leaf, A
-its own columns, whose product A psi is never formed (`_leaf_step`).  The
-parent stacks the parts (A, R) (`SnapshotBlock._stack`).  A panel of a
-stack writes A R only for its own rows, or its own columns when wide, so the
-stacked input of a node is never held whole, and the assembly of a tall one
-folds R into its coefficients instead of writing them again.  Blocks and mode sets hold a read-only view
-of the caller's array in its memory order, so the array must not change
-while they are in use; only `_blas_ready` copies, panels BLAS cannot read.
+threads run them.  A node whose panels have more rows than columns, so
+that each partial Gramian is smaller than its panel, submits them to the
+run's pool as futures, at most one per other worker ahead of the panel due
+next, and runs those no other thread has started; it alone adds the
+results, in panel order (`_pooled_spread`).  Any other node runs its panels
+on its own thread.  A block of one panel takes exactly the unpanelled route.
+A node below the root hands its parent one record (A, R, sigma, tail),
+`_NodeOutput`, whose scaled modes sigma phi are A R: R is None for raw
+columns A, the sigmas for orthonormal modes A, or the k right vectors psi of
+a truncating tall leaf, A its own columns, whose product A psi is never
+formed (`_leaf_step`).  The parent stacks the parts (A, R)
+(`SnapshotBlock._stack`).  A panel of a stack writes A R only for its own
+rows, or its own columns when wide, so the stacked input of a node is never
+held whole, and the assembly of a tall one folds R into its coefficients
+instead of writing them again.  Blocks and mode sets hold a read-only view of
+the caller's array in its memory order, so the array must not change while
+they are in use; only `_blas_ready` copies, panels BLAS cannot read.
 
 The eigendecomposition is LAPACK's divide and conquer, written over the
 Gramian, which must be finite.  A tall block's Gramian G is first factored by
@@ -55,7 +57,7 @@ weight vector; without weights the inner product is the Euclidean one.
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -509,79 +511,57 @@ def _blas_ready(values: np.ndarray) -> np.ndarray:
 
 
 def _pooled_spread(pool=None, helpers: int = 0):
-    """A `pod` spread run by the calling thread and up to `helpers` tasks on `pool`.
+    """A `pod` spread run by the calling thread with up to `helpers` panels on `pool`.
 
-    Helpers only claim panels in order, run them and park each result or
-    exception.  The calling thread claims and runs panels too, and it alone
-    hands the results to `take`, in panel order, dropping each once handed.
-    A panel is claimed only within `helpers` panels of the one handed on
-    next, its turn, so at most `helpers` results wait behind the turn's
-    panel, however slow it is.  The calling thread waits only for the turn's
-    panel once it is claimed, which the thread that claimed it is already
-    running, and a helper only for that panel to be handed on, so no thread
-    ever waits on a task that no free thread can start.  A helper that starts after every
-    panel is claimed returns at once.  On a failure nothing new is claimed,
-    and the exception of the first failing panel is raised once every
-    claimed panel has finished.  Without helpers the panels run in order on
-    the calling thread.
+    Before panel p's turn, the panels up to p + `helpers` are submitted to
+    the pool as futures, so at most `helpers` results ever wait for their
+    turn.  The calling thread runs p itself when its future has not started,
+    which it cancels; while another thread runs p, the calling thread
+    cancels and runs any submitted panel that no thread has started.  It
+    alone hands the results to `take`, in panel order, dropping each once
+    handed.  A pool thread runs one panel and is free again, and the calling
+    thread waits only for a panel that another thread is running, so no
+    thread ever waits on a task that no free thread can start.  On a
+    failure, the panels not started are cancelled and the exception of the
+    first failing panel is raised once the started ones have finished.
+    Without helpers the panels run in order on the calling thread.
     """
 
     def spread(fn, count, take=None):
-        parked: dict[int, tuple] = {}  # finished panels not yet handed on: (result, exception)
-        claimed = turn = 0  # panels claimed; the panel handed on next
-        end = count  # panels from here on are not claimed
-        lock = threading.Condition()
-
-        def run_next(due=None) -> bool:
-            """Claim and run the next panel, unless none is left within
-            `helpers` of the turn or `due` is parked; a helper (no `due`)
-            first waits for one."""
-            nonlocal claimed
-            with lock:
-                if due is None:
-                    lock.wait_for(lambda: claimed >= end or claimed <= turn + helpers)
-                if claimed >= end or claimed > turn + helpers or due in parked:
-                    return False
-                p = claimed
-                claimed += 1
-            try:
-                out = fn(p), None
-            except Exception as exc:
-                out = None, exc
-            with lock:
-                parked[p] = out
-                lock.notify_all()
-            return True
-
-        def work():
-            while run_next():
-                pass
-
-        for _ in range(min(helpers, count - 1)):
-            pool.submit(work)
-        for due in range(count):
-            while run_next(due):
-                pass
-            with lock:
-                lock.wait_for(lambda: due in parked)
-                out, exc = parked.pop(due)
-            if exc is None and take is not None:
-                try:
+        ahead = []  # futures of the panels after the turn's, in panel order
+        try:
+            for p in range(count):
+                due = ahead.pop(0) if ahead else None
+                while len(ahead) < min(helpers, count - 1 - p):
+                    ahead.append(pool.submit(fn, p + 1 + len(ahead)))
+                if due is None or due.cancel():
+                    out = fn(p)
+                else:
+                    for i, later in enumerate(ahead):
+                        if due.done():
+                            break
+                        if later.cancel():
+                            ahead[i] = _ran(fn, p + 1 + i)
+                    out = due.result()
+                if take is not None:
                     take(out)
-                except Exception as failure:
-                    exc = failure
-            del out
-            with lock:
-                turn = due + 1
-                if exc is not None:
-                    end = claimed
-                    lock.wait_for(lambda: len(parked) == claimed - turn)
-                    parked.clear()
-                lock.notify_all()
-            if exc is not None:
-                raise exc
+                del out
+        finally:
+            for later in ahead:
+                later.cancel()
+            wait(ahead)
 
     return spread
+
+
+def _ran(fn, p) -> Future:
+    """A finished future of fn(p), run on the calling thread."""
+    done = Future()
+    try:
+        done.set_result(fn(p))
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
 
 
 def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
@@ -610,9 +590,10 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
         row panels of the Gramian route, and hands each result to ``take``
         (if given) on the calling thread, in panel order, as soon as it and
         those before it are done; see `_pooled_spread`.  The default runs
-        them in order on the calling thread, the executor lets idle pool
-        threads take some of a node whose panels are taller than wide.  The
-        result does not depend on it.
+        them in order on the calling thread; the executor's spread submits
+        the panels of a node, when taller than wide, to its pool as futures,
+        at most one per other worker ahead of the one due next.  The result
+        does not depend on it.
 
     Returns
     -------
@@ -700,7 +681,7 @@ def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool = F
 
     # a panel no taller than it is wide feeds a partial Gramian no smaller
     # than itself, so such a node runs its panels on its own thread: each
-    # panel finished ahead of its turn elsewhere would park one
+    # panel finished ahead of its turn elsewhere would hold one until then
     if panels[0][1] - panels[0][0] <= cols or spread is None:
         spread = _pooled_spread()
     g = None

@@ -117,6 +117,17 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "d").exists()
 
+    def test_depth_suffix_only_on_balanced(self, synthetic_file, tmp_path, capsys):
+        # a suffix on any other name would be ignored, so it is refused
+        assert run_cli("run", synthetic_file, "--out", tmp_path / "s", "--eps-star", 0.01,
+                       "--topology", "star:3", "--blocks", 4) == 1
+        assert run_cli("bench", "--rows", 30, "--sizes", 90, "--block-size", 45,
+                       "--topologies", "chain:7") == 1
+        err = capsys.readouterr().err
+        assert "'star:3'" in err and "'chain:7'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s").exists()
+
     def test_single_block_chain_equals_flat_pod(self, synthetic_file, tmp_path):
         import math
         from hapod import pod

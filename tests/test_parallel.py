@@ -203,10 +203,11 @@ class TestWorkerCountInvariance:
 
 class TestPooledSpread:
     def test_owners_filling_the_pool_finish_alone(self):
-        # eight owners take all eight threads of the pool, so their helpers
-        # queue behind them and each owner must run its own panels; a short
-        # switch interval interleaves the claims.  Every panel must run
-        # exactly once and come back in panel order.
+        # eight owners take all eight threads of the pool, so the panels
+        # they submit queue behind them and each owner must run its own; a
+        # short switch interval interleaves the submissions and
+        # cancellations.  Every panel must run exactly once and come back in
+        # panel order.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -281,9 +282,9 @@ class TestPooledSpread:
         assert len(ran) > 1
 
     def test_parks_at_most_one_result_per_helper(self):
-        # the helper's first panel is held until the calling thread has run
-        # every other panel, or for half a second: claims must stop once
-        # `helpers` results wait behind it, never run on through the rest
+        # the first panel a pool thread runs is held until the last panel
+        # has run, or for half a second: no panel may start once `helpers`
+        # results wait behind it, so the rest never runs on ahead
         count, caller = 20, threading.get_ident()
         holding, release, lock = threading.Event(), threading.Event(), threading.Lock()
         finished, taken, ahead = set(), [], []
@@ -347,9 +348,9 @@ class TestPooledSpread:
         assert max(ahead) <= helpers
 
     def test_failing_take_waits_for_the_claimed_panels(self):
-        # take fails on the first result while helpers still run panels
-        # they claimed; spread raises only once those have finished, and
-        # claims nothing after the failure
+        # take fails on the first result while pool threads still run the
+        # panels submitted ahead of it; spread raises only once those have
+        # finished, and starts nothing after the failure
         started, finished = set(), set()
 
         def panel(p):
@@ -368,6 +369,50 @@ class TestPooledSpread:
             assert finished == started
             assert caught.value.args == (0,)
             assert len(started) < 100
+
+    def test_a_full_window_holds_no_pool_thread(self):
+        # one pool thread and one helper: the pool runs panel 1 while the
+        # calling thread runs panel 0, so the window is full for as long as
+        # panel 0 runs.  A task submitted to the same pool from inside panel
+        # 0 must still find the thread free, not held by a waiting helper.
+        caller, first, taken = threading.get_ident(), [], []
+        with ThreadPoolExecutor(1) as pool:
+            def panel(p):
+                if threading.get_ident() == caller and not first:
+                    first.append(p)
+                    time.sleep(0.2)
+                    pool.submit(int).result(timeout=2.0)
+                return p
+
+            _pooled_spread(pool, 1)(panel, 10, taken.append)
+        assert first
+        assert taken == list(range(10))
+
+    def test_window_in_bytes_on_a_mapped_star(self, tmp_path):
+        # a mapped tall star whose 679-column root runs 1334 x 679 panels,
+        # taller than wide, on the pool.  A second worker may add one panel
+        # in flight and one partial Gramian waiting for its turn per helper,
+        # and 64 KiB of slack for the pool's and the futures' bookkeeping.
+        path = tmp_path / "tall.hpd"
+        write_matrix(path, synthetic_decay(8000, 800, 0.05, seed=0).values)
+        block = load_snapshots(path)
+        tree = build_star(20)
+        leaves = distribute_columns(tree, block, block_size=40)
+        tol = assign_tolerances(tree, leaves, 1e-2, 0.75)
+        peaks = {}
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                result, _ = run_parallel(tree, leaves, tol, worker_count=workers)
+                peaks[workers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        m = result.report_for(tree.root).input_count
+        panels = importlib.import_module("hapod.pod")._row_panels(8000, m)
+        rows = panels[0][1] - panels[0][0]
+        assert len(panels) > 1 and rows > m
+        helpers, slack = 1, 64 * 1024
+        assert peaks[2] <= peaks[1] + helpers * 8 * (rows * m + m * m) + slack
 
 
 class TestCriticalPathTime:
