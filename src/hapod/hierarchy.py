@@ -14,15 +14,14 @@ the size of the intermediate decompositions.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pod import (BATCH_BYTES, InnerProductSpace, ModeSet, PodBackend, SnapshotBlock, _leaf_step, _scaled,
-                  block_gramian_pod, pod)
+from .pod import (InnerProductSpace, ModeSet, PodBackend, SnapshotBlock, _blas_ready, _leaf_step, _panel,
+                  _pooled_spread, _row_panels, _scaled, block_gramian_pod, pod)
 from .tree import RootedTree, TreeMaps, build_chain, derive_maps
 
 __all__ = [
@@ -235,52 +234,60 @@ def error_bound(tree: RootedTree, tol: ToleranceAssignment, node: int | None = N
 
 def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet, worker_count: int = 1) -> float:
     """Measured (1/m) * sum_j ||s_j - P s_j||^2 with P the orthogonal projection
-    onto the span of the modes U, in batches of about `BATCH_BYTES` of
-    columns.  Each worker copies its batch S_b into one aligned row-major
-    buffer of its own (BLAS takes no slice of an unaligned .hpd map), and for
-    orthonormal U the batch's error is ||S_b||^2_W - ||U^T W S_b||^2_F, one
-    product.  That difference carries a rounding error of a few
-    u * ||S_b||^2_W, so a batch whose difference falls below 1e-3 *
-    ||S_b||^2_W, where that error could exceed 1e-12 of it, is measured again
-    from its explicit residual, written over the buffer an eighth of the rows
-    at a time; a worker holds about one batch either way.  The batches run on
-    worker_count threads and add up in batch order, so the value does not
-    depend on worker_count."""
+    onto the k modes U, over the row panels of `pod` (`_row_panels`).  Each
+    panel S_p, copied where BLAS cannot read it (an .hpd map), adds
+    ||S_p||^2_W and U_p^T W_p S_p in panel order; for orthonormal U the error
+    is ||S||^2_W - ||U^T W S||^2_F.  Its rounding error is a few
+    u * ||S||^2_W, so below 1e-3 * ||S||^2_W a second pass sums the explicit
+    residuals S_p - U_p (U^T W S) instead.  The columns run in groups whose
+    k x n product fits one `BATCH_BYTES` piece: one group unless k x m is
+    larger.  The panels run on worker_count threads (`_pooled_spread`) and
+    add up in panel order, so the value does not depend on worker_count."""
     if not modes.orthonormal:
         raise ValueError("projection needs orthonormal modes (got a passthrough set)")
     if not snapshots.space.same_as(modes.space):
         raise ValueError("snapshots and modes live in different spaces")
+    if worker_count < 1:
+        raise ValueError(f"worker_count must be at least 1, got {worker_count}")
     m = snapshots.count
     if m == 0:
         return 0.0
-    space = snapshots.space
-    d = space.dimension
-    batch = max(1, BATCH_BYTES // (8 * d))
-    rows = -(-d // 8)
-    buffers = threading.local()
-
-    def energy(a):
-        if not hasattr(buffers, "batch"):
-            buffers.batch = np.empty(d * min(batch, m))
-        chunk = snapshots.values[:, a : a + batch]
-        resid = buffers.batch[: chunk.size].reshape(chunk.shape)
-        np.copyto(resid, chunk)
-        whole = float(np.sum(space.norms_sq(resid)))
-        if not modes.count:
-            return whole
-        coef = space.gram(modes.modes, resid)
-        left = whole - float(np.vdot(coef, coef))
-        if left >= 1e-3 * whole:
-            return left
-        for r in range(0, d, rows):
-            np.subtract(resid[r : r + rows], modes.modes[r : r + rows] @ coef, out=resid[r : r + rows])
-        return float(np.sum(space.norms_sq(resid)))
-
-    total = 0.0
     with ThreadPoolExecutor(worker_count) as pool:
-        for part in pool.map(energy, range(0, m, batch)):
-            total += part
-    return total / m
+        spread = _pooled_spread(pool, worker_count - 1)
+        left = sum(_squared_error(snapshots._part(snapshots.values[:, a:b]), modes, spread)
+                   for a, b in _row_panels(m, modes.count))
+    return left / m
+
+
+def _squared_error(block: SnapshotBlock, modes: ModeSet, spread) -> float:
+    """sum_j ||s_j - P s_j||^2 over the block, for `actual_mean_error`."""
+    w = block.space.weights
+    panels = _row_panels(block.space.dimension, block.count)
+    spaces = [InnerProductSpace(b - a, None if w is None else w[a:b]) for a, b in panels]
+    total, coef = 0.0, 0.0
+
+    def gather(p):
+        a, b = panels[p]
+        s = _panel(block, a, b).values
+        return float(np.sum(spaces[p].norms_sq(s))), spaces[p].gram(_blas_ready(modes.modes[a:b]), s)
+
+    def add(part):
+        nonlocal total, coef
+        total += part[0]
+        coef += part[1]
+
+    def residual(p):
+        a, b = panels[p]
+        r = _blas_ready(modes.modes[a:b]) @ coef
+        return float(np.sum(spaces[p].norms_sq(np.subtract(_panel(block, a, b).values, r, out=r))))
+
+    spread(gather, len(panels), add)
+    left = total - float(np.vdot(coef, coef))
+    if left < 1e-3 * total:
+        parts = []
+        spread(residual, len(panels), parts.append)
+        left = sum(parts)
+    return left
 
 
 def _node_report(tree: RootedTree, maps: TreeMaps, node: int, input_count: int,

@@ -33,6 +33,8 @@ __all__ = [
 MAGIC = b"HPD1"
 VERSION = 1
 _HEADER = struct.Struct("<4sHQQB")
+#: Bytes per column chunk that `write_matrix` copies into file order.
+_WRITE_BYTES = 2**20
 
 
 class MatrixFormatError(ValueError):
@@ -52,7 +54,10 @@ def write_matrix(path, values: np.ndarray, weights: np.ndarray | None = None) ->
             if w.shape != (rows,):
                 raise ValueError(f"weights shape {w.shape} does not match {rows} rows")
             fh.write(w.tobytes())
-        fh.write(values.astype("<f8", copy=False).tobytes(order="F"))
+        # a column chunk at a time: the whole payload is never copied
+        step = max(1, _WRITE_BYTES // (8 * max(rows, 1)))
+        for a in range(0, cols, step):
+            fh.write(values[:, a : a + step].astype("<f8", copy=False).tobytes(order="F"))
 
 
 def _parse_header(raw: bytes, path) -> tuple[int, int, bool]:

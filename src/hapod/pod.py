@@ -25,6 +25,8 @@ run's pool as futures, at most one per other worker ahead of the panel due
 next, and runs those no other thread has started; it alone adds the
 results, in panel order (`_pooled_spread`).  Any other node runs its panels
 on its own thread.  A block of one panel takes exactly the unpanelled route.
+The mean-error pass of `hapod.hierarchy` runs over the same row panels, so
+each data pass holds about one `BATCH_BYTES` piece per worker.
 A node below the root hands its parent one record (A, R, sigma, tail),
 `_NodeOutput`, whose scaled modes sigma phi are A R: R is None for raw
 columns A, the sigmas for orthonormal modes A, or the k right vectors psi of
@@ -83,8 +85,10 @@ __all__ = [
 DEFAULT_GRAM_CUTOFF = 4.0 * float(np.finfo(np.float64).eps)
 
 #: Bytes per piece of a data pass: the row panels of a Gramian node (column
-#: groups of a wide one) and the column batches of the mean-error pass.
-BATCH_BYTES = 2**23
+#: groups of a wide one) and of the mean-error pass.  A tall node spreads
+#: its panels while they are taller than wide, below sqrt(BATCH_BYTES / 8),
+#: about 724, columns; with 2 MiB a 679-column star root ran serially, and slower.
+BATCH_BYTES = 2**22
 
 
 def _read_only(a):

@@ -174,7 +174,7 @@ class TestRun:
         assert (a / "modes.hpd").read_bytes() == (b / "modes.hpd").read_bytes()
 
     def test_mean_error_does_not_depend_on_workers(self, tmp_path):
-        # 40000 rows put 26 columns in a mean-error batch: three batches
+        # 40000 x 60 is 19.2 MB: the mean error runs over five row panels
         path = tmp_path / "tall.hpd"
         write_matrix(path, synthetic_decay(40000, 60, 0.1, 3).values)
         lines = []

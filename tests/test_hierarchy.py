@@ -253,7 +253,7 @@ class TestActualMeanError:
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_batches_match_one_residual(self, weighted):
-        # 2**23 bytes hold 26 columns of 40000 rows: three batches, the last short
+        # 40000 x 60 is 19.2 MB: five row panels of 8000 rows
         rng = np.random.default_rng(13)
         dim, cols = 40000, 60
         w = rng.uniform(0.5, 2.0, dim) if weighted else None
@@ -269,8 +269,8 @@ class TestActualMeanError:
         assert got[0] == pytest.approx(ref, rel=1e-12)
 
     def test_mapped_batches_reach_blas_aligned(self, tmp_path, monkeypatch):
-        # an .hpd payload sits 23 bytes into the file: every batch is copied
-        # to an aligned buffer, so the result is the in-memory one, bit for bit
+        # an .hpd payload sits 23 bytes into the file: every row panel is
+        # copied to aligned memory, so the result is the in-memory one, bit for bit
         rng = np.random.default_rng(17)
         path = tmp_path / "tall.hpd"
         write_matrix(path, rng.standard_normal((3000, 5)) @ rng.standard_normal((5, 900))
@@ -289,12 +289,12 @@ class TestActualMeanError:
         monkeypatch.setattr(InnerProductSpace, "gram", spy)
         got = [actual_mean_error(mapped, out, workers) for workers in (1, 2)]
         assert got == [ref, ref]
-        assert len(aligned) == 2 * math.ceil(900 / (2**23 // (8 * 3000)))
+        assert len(aligned) == 2 * len(POD._row_panels(3000, 900))
         assert all(aligned)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_batches_far_from_rounding_take_one_product(self, monkeypatch, weighted):
-        # ||S_b||^2_W - ||U^T W S_b||^2_F per batch, no residual formed
+        # ||S||^2_W - ||U^T W S||^2_F summed over the row panels, no residual formed
         rng = np.random.default_rng(23)
         dim, cols = 300, 50
         w = rng.uniform(0.5, 2.0, dim) if weighted else None
@@ -303,7 +303,8 @@ class TestActualMeanError:
                               + 0.3 * rng.standard_normal((dim, cols)))
         out = pod(block, 30.0)
         assert 0 < out.count < cols
-        monkeypatch.setattr(hapod.hierarchy, "BATCH_BYTES", 8 * dim * 12)  # five batches
+        monkeypatch.setattr(POD, "BATCH_BYTES", 8 * 60 * cols)  # five row panels
+        assert len(POD._row_panels(dim, cols)) == 5
         resid = block.values - out.modes @ space.gram(out.modes, block.values)
         ref = float(np.sum(space.norms_sq(resid))) / cols
         subtractions, real = [], np.subtract
@@ -316,8 +317,8 @@ class TestActualMeanError:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_batches_near_rounding_measure_the_residual(self, monkeypatch, weighted):
         # columns inside the span leave a rounding-level error, which the
-        # difference of two energies cannot resolve: every batch falls back
-        # to its explicit residual, an eighth of the rows at a time
+        # difference of two energies cannot resolve: a second pass sums the
+        # explicit residual, one subtraction per row panel
         rng = np.random.default_rng(29)
         dim, cols = 300, 50
         w = rng.uniform(0.5, 2.0, dim) if weighted else None
@@ -325,16 +326,46 @@ class TestActualMeanError:
         block = SnapshotBlock(space, rng.standard_normal((dim, 6)) @ rng.standard_normal((6, cols)))
         out = pod(block, 1e-6)
         assert out.count == 6
-        monkeypatch.setattr(hapod.hierarchy, "BATCH_BYTES", 8 * dim * 12)  # five batches
+        monkeypatch.setattr(POD, "BATCH_BYTES", 8 * 60 * cols)  # five row panels
+        assert len(POD._row_panels(dim, cols)) == 5
         resid = block.values - out.modes @ space.gram(out.modes, block.values)
         ref = float(np.sum(space.norms_sq(resid))) / cols
         energy = float(np.sum(space.norms_sq(block.values))) / cols
         subtractions, real = [], np.subtract
         monkeypatch.setattr(np, "subtract", lambda *a, **k: subtractions.append(1) or real(*a, **k))
         got = actual_mean_error(block, out, 2)
-        assert len(subtractions) == 5 * 8
+        assert len(subtractions) == 5
         assert 0.0 <= got <= 1e-20 * energy
         assert abs(got - ref) <= 1e-24 * energy
+
+    @pytest.mark.parametrize("dim, cols", [(8000, 300), (400, 4000)], ids=["tall", "wide"])
+    def test_two_workers_hold_two_panels(self, tmp_path, monkeypatch, dim, cols):
+        # a mapped block in 1 MiB row panels: each worker holds one aligned
+        # panel copy and its k x n product, the caller also the running sum
+        # U^T W S; 64 KiB of slack for the pool's bookkeeping.  A wide block's
+        # k x m product would outgrow a panel, so it runs in column groups
+        # of n columns
+        path = tmp_path / "block.hpd"
+        write_matrix(path, synthetic_decay(dim, cols, 0.05, seed=0).values)
+        mapped = load_snapshots(path)
+        out = pod(SnapshotBlock(mapped.space, np.array(mapped.values)), 0.5)
+        k = out.count
+        ref = actual_mean_error(mapped, out)
+        monkeypatch.setattr(POD, "BATCH_BYTES", 2**20)
+        groups = POD._row_panels(cols, k)
+        n = max(b - a for a, b in groups)
+        assert (len(groups) > 1) == (cols > dim)
+        assert len(POD._row_panels(dim, n)) > 2
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = actual_mean_error(mapped, out, 2)
+            added = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(ref, rel=1e-12)
+        assert 0 < k < min(dim, cols)
+        assert added <= 2 * (POD.BATCH_BYTES + 8 * k * n) + 8 * k * n + 64 * 1024
 
     def test_rejects_passthrough_modes(self):
         block = SnapshotBlock(InnerProductSpace(3), np.eye(3))
@@ -346,7 +377,7 @@ class TestActualMeanError:
 class TestStackedInput:
     def test_interior_peak_below_the_stacked_input(self):
         # four children of 40 modes in R^40000: stacked, the root's input
-        # would take 51 MB; it is written one row panel of about 8 MiB at a
+        # would take 51 MB; it is written one row panel of about 4 MiB at a
         # time, and only for as long as that panel is in use
         rng = np.random.default_rng(19)
         dim, k, n = 40000, 4, 40

@@ -1,4 +1,6 @@
+import importlib
 import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hapod.io import (
     write_matrix,
 )
 
+hio = importlib.import_module("hapod.io")
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 matrices = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=7),
                   elements=finite)
@@ -55,6 +58,31 @@ class TestBinaryRoundTrip:
         path = tmp_path / "h.hpd"
         write_matrix(path, np.ones((3, 2)))
         assert read_matrix_header(path) == (3, 2, False)
+
+
+class TestChunkedWrite:
+    def test_peak_stays_at_a_chunk(self, tmp_path):
+        # a C-ordered 20000 x 400 matrix, 64 MB, goes to file order one
+        # column chunk of about 1 MiB at a time, never copied whole
+        values = np.random.default_rng(41).standard_normal((20000, 400))
+        path = tmp_path / "big.hpd"
+        tracemalloc.start()
+        try:
+            write_matrix(path, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert np.array_equal(load_snapshots(path).values, values)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_chunks_write_the_payload_bytes(self, tmp_path, monkeypatch, order):
+        values = np.asarray(np.random.default_rng(43).standard_normal((7, 10)), order=order)
+        values[0, 0] = -0.0
+        monkeypatch.setattr(hio, "_WRITE_BYTES", 8 * 7 * 3)  # chunks of 3, 3, 3 and 1 columns
+        path = tmp_path / "c.hpd"
+        write_matrix(path, values)
+        assert path.read_bytes()[-values.nbytes:] == values.tobytes(order="F")
 
 
 class TestBinaryErrors:

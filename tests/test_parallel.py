@@ -157,11 +157,12 @@ class TestWorkerCountInvariance:
                 assert np.array_equal(other.right_factor, runs[0].right_factor)
 
 
-    def test_bit_identical_with_panelled_nodes(self):
-        # 65536 rows: the leaves of 20 columns split into 2 row panels each,
-        # the root over 4 x 20 modes into 5, so panels of a node run on
-        # idle workers whenever there are any
+    def test_bit_identical_with_panelled_nodes(self, monkeypatch):
+        # 65536 rows and 8 MiB panels: the leaves of 20 columns split into 2
+        # row panels each, the root over 4 x 20 modes into 5, so panels of a
+        # node run on idle workers whenever there are any
         pod_module = importlib.import_module("hapod.pod")
+        monkeypatch.setattr(pod_module, "BATCH_BYTES", 2**23)
         dim = 2**16
         data = synthetic_decay(dim, 80, 0.2, seed=21).values
         block = SnapshotBlock(InnerProductSpace(dim), data)

@@ -455,8 +455,8 @@ class TestRowPanels:
             assert panels[0][0] == 0 and panels[-1][1] == d
             assert all(a < b for a, b in panels)
             assert all(b == c for (_, b), (c, _) in zip(panels, panels[1:]))
-        # a 20000-row root over ten children of 47 modes: nine panels
-        assert len(POD._row_panels(20000, 470)) == 9
+        # a 20000-row root over ten children of 47 modes: eighteen panels
+        assert len(POD._row_panels(20000, 470)) == 18
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(8, 80), cols=st.integers(1, 8),
