@@ -1,8 +1,11 @@
 """Snapshot generators used by the experiments and the test suite.
 
 Both generators draw from counter-based Philox streams split off one seed, so
-output is reproducible bit-for-bit across platforms and independent of how
-many values other streams consumed.
+the random draws are the same on every platform and do not depend on how
+many values other streams consumed.  The output is bit-for-bit reproducible
+on the same NumPy, SciPy and BLAS build with the same BLAS thread count:
+synthetic_decay's QR, Cholesky and matrix products are LAPACK and BLAS
+results, whose last bits may differ between builds and thread counts.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ class BurgersConfig:
             raise ValueError("time_step must be positive")
         if not (0.0 <= self.spark_probability <= 1.0):
             raise ValueError("spark_probability must lie in [0, 1]")
-        if self.spark_max < 0.0:
-            raise ValueError("spark_max must be nonnegative")
+        if not 0.0 <= self.spark_max < np.inf:
+            raise ValueError("spark_max must be finite and nonnegative")
 
 
 def _forcing_pattern(cfg: BurgersConfig):
@@ -121,23 +124,44 @@ def burgers_snapshots(cfg: BurgersConfig, with_stats: bool = False):
 
 def synthetic_decay(d: int, m: int, decay_rate: float, seed: int = 0) -> SnapshotBlock:
     """A d x m block with exactly prescribed singular values exp(-decay_rate * n),
-    n = 1..min(d, m), and seeded random orthonormal factors."""
+    n = 1..min(d, m), and seeded random orthonormal factors.
+
+    Each factor is the Haar frame of a Gaussian: the Q of its QR with the
+    signs fixed so that R has a positive diagonal (Mezzadri 2007).  With
+    k = min(d, m), the k x k frame F is a Householder QR.  When the taller
+    max(d, m) x k Gaussian G has at least 2k rows, its frame G R^-1 is never
+    formed: R is the Cholesky factor of G^T G, the same R in exact
+    arithmetic, and the block is G C for d >= m and C^T G^T for d < m, with
+    C = R^-1 diag(s) F^T.  Cholesky QR loses about kappa(G)^2 times the unit
+    roundoff of orthogonality; a Gaussian with at least twice as many rows as
+    columns has kappa(G) below about 6, but on squarer shapes kappa(G) has no
+    such bound, so there both frames are Householder QRs.  The route depends
+    on the shape only.
+    """
     if d < 1 or m < 1:
         raise ValueError("d and m must be positive")
-    if decay_rate < 0.0:
+    if not decay_rate >= 0.0:
         raise ValueError("decay_rate must be nonnegative")
     k = min(d, m)
-    root = np.random.SeedSequence(seed)
-    seq_left, seq_right = root.spawn(2)
+    seq_left, seq_right = np.random.SeedSequence(seed).spawn(2)
 
-    def haar_frame(rows: int, seq) -> np.ndarray:
-        g = np.random.Generator(np.random.Philox(seq)).standard_normal((rows, k))
-        q, r = scipy.linalg.qr(g, mode="economic")
+    def gaussian(rows: int, seq) -> np.ndarray:
+        return np.random.Generator(np.random.Philox(seq)).standard_normal((rows, k))
+
+    def haar_frame(g: np.ndarray) -> np.ndarray:
+        q, r = scipy.linalg.qr(g, mode="economic", overwrite_a=True, check_finite=False)
         signs = np.sign(np.diag(r))
         signs[signs == 0.0] = 1.0
         return q * signs[None, :]
 
-    left = haar_frame(d, seq_left)
-    right = haar_frame(m, seq_right)
     spectrum = np.exp(-decay_rate * np.arange(1, k + 1, dtype=np.float64))
-    return SnapshotBlock(InnerProductSpace(d), (left * spectrum[None, :]) @ right.T)
+    if max(d, m) < 2 * k:
+        left = haar_frame(gaussian(d, seq_left))
+        right = haar_frame(gaussian(m, seq_right))
+        return SnapshotBlock(InnerProductSpace(d), (left * spectrum[None, :]) @ right.T)
+    tall_seq, square_seq = (seq_left, seq_right) if d >= m else (seq_right, seq_left)
+    g = gaussian(max(d, m), tall_seq)
+    frame = haar_frame(gaussian(k, square_seq))
+    r = scipy.linalg.cholesky(g.T @ g, check_finite=False)
+    c = scipy.linalg.solve_triangular(r, spectrum[:, None] * frame.T, check_finite=False)
+    return SnapshotBlock(InnerProductSpace(d), g @ c if d >= m else c.T @ g.T)

@@ -70,6 +70,18 @@ class TestGen:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, option, value, name", [
+        ("burgers", "--spark-max", "nan", "spark_max"),
+        ("burgers", "--spark-max", "inf", "spark_max"),
+        ("synthetic", "--decay-rate", "nan", "decay_rate"),
+    ])
+    def test_nonfinite_parameter_exits_usage(self, tmp_path, capsys, kind, option, value, name):
+        shape = ("--grid-size", 20, "--steps", 80) if kind == "burgers" else ("--rows", 8, "--cols", 6)
+        assert run_cli("gen", kind, *shape, option, value, "-o", tmp_path / "x.hpd") == 1
+        err = capsys.readouterr().err
+        assert name in err
+        assert "Traceback" not in err
+
 
 class TestRun:
     def test_outputs_and_summary(self, synthetic_file, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -64,11 +66,14 @@ class TestBurgers:
             BurgersConfig(spark_probability=1.5)
         with pytest.raises(ValueError):
             BurgersConfig(spark_max=-0.1)
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                BurgersConfig(spark_max=value)
 
 
 class TestSyntheticDecay:
     def test_spectrum_is_exactly_prescribed(self):
-        for d, m in ((30, 50), (50, 30), (20, 20)):
+        for d, m in ((30, 50), (50, 30), (20, 20), (90, 30), (30, 90)):
             block = synthetic_decay(d, m, 0.25, seed=8)
             assert block.values.shape == (d, m)
             got = scipy.linalg.svdvals(block.values)
@@ -94,3 +99,37 @@ class TestSyntheticDecay:
             synthetic_decay(0, 5, 0.1)
         with pytest.raises(ValueError):
             synthetic_decay(5, 5, -0.1)
+        with pytest.raises(ValueError):
+            synthetic_decay(5, 5, np.nan)
+
+    @pytest.mark.parametrize("d, m", [(80, 40), (40, 80), (79, 40), (40, 40), (9, 1), (1, 9),
+                                      (300, 20)])
+    def test_matches_two_householder_frames(self, d, m):
+        # the reference draws both Haar frames by sign-fixed Householder QR;
+        # shapes of aspect ratio 2 or more take the Cholesky route instead
+        k = min(d, m)
+
+        def haar_frame(rows, seq):
+            g = np.random.Generator(np.random.Philox(seq)).standard_normal((rows, k))
+            q, r = scipy.linalg.qr(g, mode="economic")
+            signs = np.sign(np.diag(r))
+            signs[signs == 0.0] = 1.0
+            return q * signs[None, :]
+
+        spectrum = np.exp(-0.3 * np.arange(1, k + 1, dtype=np.float64))
+        for seed in range(4):
+            seq_left, seq_right = np.random.SeedSequence(seed).spawn(2)
+            want = (haar_frame(d, seq_left) * spectrum[None, :]) @ haar_frame(m, seq_right).T
+            got = synthetic_decay(d, m, 0.3, seed=seed).values
+            assert got.flags.c_contiguous
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d, m", [(8000, 400), (400, 8000)])
+    def test_peak_memory_holds_one_gaussian_and_the_output(self, d, m):
+        tracemalloc.start()
+        try:
+            block = synthetic_decay(d, m, 0.05, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * block.values.nbytes
