@@ -160,16 +160,20 @@ def _pick_topology(topology: str, total_columns: int, blocks: int | None = None,
     raise ValueError(f"unknown topology {topology!r} (star, chain, balanced[:depth], file:PATH)")
 
 
-def _write_report(path, reports, ranges) -> None:
+def _write_report(path, reports, maps) -> None:
+    """One row per node; a leaf's row ends with its column range."""
     names = [f.name for f in dataclasses.fields(NodeReport)] + ["col_start", "col_end"]
     with open(path, "w") as fh:
         fh.write("\t".join(names) + "\n")
         for r in reports:
-            row = dataclasses.astuple(r) + ranges.get(r.node, (None, None))
+            cols = maps.columns(r.node)
+            row = dataclasses.astuple(r) + ((cols.start, cols.stop) if r.is_leaf else (None, None))
             fh.write("\t".join(_fmt(v) for v in row) + "\n")
 
 
-def _read_report(path):
+def _read_report(path, tree: RootedTree, input_count: int):
+    """A report's rows, and the tree's maps over their leaf column ranges,
+    which must tile the input's columns in leaf order."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, delimiter="\t")
@@ -180,7 +184,22 @@ def _read_report(path):
     for name in ("node", "local_epsilon", "output_mode_count", "col_start", "col_end"):
         if name not in (reader.fieldnames or ()):
             raise ValueError(f"{path}: no {name} column")
-    return rows
+    try:
+        for r in rows:
+            if not 0 <= int(r["node"]) < tree.node_count:
+                raise ValueError(f"node {r['node']} is not in {TREE_FILE}")
+        spans = {int(r["node"]): (int(r["col_start"]), int(r["col_end"])) for r in rows if r["col_start"]}
+        maps = derive_maps(tree, {v: b - a for v, (a, b) in spans.items()})
+        for v in maps.leaf_order:
+            if spans[v][0] != maps.column_start[v]:
+                raise ValueError(f"leaf {v} starts at column {spans[v][0]}, "
+                                 f"but the leaves before it end at column {maps.column_start[v]}")
+        if maps.subordinate_leaf_counts[tree.root] != input_count:
+            raise ValueError(f"the leaves cover {maps.subordinate_leaf_counts[tree.root]} columns, "
+                             f"but the input has {input_count}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return rows, maps
 
 
 def cmd_run(args) -> int:
@@ -190,8 +209,8 @@ def cmd_run(args) -> int:
     if block.count == 0:
         raise ValueError(f"{args.input}: no snapshot columns")
     tree = _pick_topology(args.topology, block.count, args.blocks, args.block_size)
-    maps = derive_maps(tree)
-    leaves = distribute_columns(tree, block, block_size=args.block_size, maps=maps)
+    leaves = distribute_columns(tree, block, block_size=args.block_size)
+    maps = derive_maps(tree, leaves.counts())
     tol = assign_tolerances(tree, leaves, args.eps_star, args.omega)
     backend = PodBackend(args.backend)
 
@@ -200,10 +219,6 @@ def cmd_run(args) -> int:
         raise FileExistsError(f"{outdir} exists and is not empty; pass --force to overwrite")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    ranges, at = {}, 0
-    for leaf in maps.leaf_order:
-        ranges[leaf] = (at, at + leaves.blocks[leaf].count)
-        at = ranges[leaf][1]
     started = time.perf_counter()
     result, stats = run_parallel(
         tree, leaves, tol, backend, args.workers,
@@ -214,7 +229,7 @@ def cmd_run(args) -> int:
     hio.write_matrix(outdir / MODES_FILE, result.modes.modes, block.space.weights)
     hio.write_floats(outdir / SIGMAS_FILE, result.modes.sigmas)
     (outdir / TREE_FILE).write_text(format_tree_text(tree))
-    _write_report(outdir / REPORT_FILE, result.reports, ranges)
+    _write_report(outdir / REPORT_FILE, result.reports, maps)
     if result.right_factor is not None:
         hio.write_matrix(outdir / RIGHT_FILE, result.right_factor)
 
@@ -283,11 +298,13 @@ def cmd_verify(args) -> int:
         if not (results / name).exists():
             raise FileNotFoundError(f"{results / name}: missing result file")
     summary = _read_kv(results / SUMMARY_FILE)
-    for key in ("eps_star", "omega"):
-        if key not in summary:
-            raise ValueError(f"{results / SUMMARY_FILE}: no {key}= line")
-    eps_star = float(summary["eps_star"])
-    omega = float(summary["omega"])
+    try:
+        eps_star, omega = float(summary["eps_star"]), float(summary["omega"])
+        _check_rule(omega, eps_star)
+    except KeyError as exc:
+        raise ValueError(f"{results / SUMMARY_FILE}: no {exc.args[0]}= line") from None
+    except ValueError as exc:
+        raise ValueError(f"{results / SUMMARY_FILE}: {exc}") from None
 
     input_path = Path(args.input)
     if input_path.suffix.lower() != ".csv":
@@ -316,10 +333,7 @@ def cmd_verify(args) -> int:
         return _report_checks([("weights", False, "modes file and input disagree on inner product")])
     sigmas = hio.read_floats(results / SIGMAS_FILE)
     tree = parse_tree_text((results / TREE_FILE).read_text())
-    report = _read_report(results / REPORT_FILE)
-    for r in report:
-        if not 0 <= int(r["node"]) < tree.node_count:
-            raise ValueError(f"{results / REPORT_FILE}: node {r['node']} is not in {results / TREE_FILE}")
+    report, maps = _read_report(results / REPORT_FILE, tree, snapshots.count)
 
     checks: list[tuple[str, bool, str]] = []
 
@@ -358,24 +372,16 @@ def cmd_verify(args) -> int:
          f"{mode_values.shape[1]} modes vs flat-POD count {root_oracle} at its budget")
     )
 
-    maps = derive_maps(tree)
-    spans = {int(r["node"]): (int(r["col_start"]), int(r["col_end"])) for r in report if r["col_start"]}
     worst = ""
-    ok_nodes = True
     for r in report:
         node = int(r["node"])
         if node == tree.root:
             continue
-        eps_local = float(r["local_epsilon"])
-        cols = [spans[leaf] for leaf in maps.subtree_nodes[node] if leaf in spans]
-        pieces = [snapshots.values[:, a:b] for a, b in sorted(cols)]
-        sub = np.hstack(pieces) if pieces else np.zeros((space.dimension, 0))
-        bound = _oracle_count(sub, space, eps_local)
+        bound = _oracle_count(snapshots.values[:, maps.columns(node)], space, float(r["local_epsilon"]))
         if int(r["output_mode_count"]) > bound:
-            ok_nodes = False
             worst = f"node {node}: {r['output_mode_count']} modes exceed flat-POD count {bound}"
             break
-    checks.append(("node-mode-bounds", ok_nodes, worst or "every non-root node within its flat-POD count"))
+    checks.append(("node-mode-bounds", not worst, worst or "every non-root node within its flat-POD count"))
     return _report_checks(checks)
 
 
@@ -411,8 +417,7 @@ def cmd_bench(args) -> int:
         )
         for name in topologies:
             tree = _pick_topology(name, size, block_size=args.block_size)
-            maps = derive_maps(tree)
-            leaves = distribute_columns(tree, data, block_size=args.block_size, maps=maps)
+            leaves = distribute_columns(tree, data, block_size=args.block_size)
             tol = assign_tolerances(tree, leaves, args.eps_star, args.omega)
             started = time.perf_counter()
             _, stats = run_parallel(tree, leaves, tol, PodBackend("gram"))
@@ -420,7 +425,7 @@ def cmd_bench(args) -> int:
             rows.append(
                 "\t".join(
                     [
-                        str(size), name, str(maps.depth), str(args.block_size),
+                        str(size), name, str(derive_maps(tree).depth), str(args.block_size),
                         repr(seq_time),
                         repr(stats.critical_path_time),
                         str(stats.peak_resident_modes),

@@ -125,7 +125,7 @@ class HapodResult:
 
 
 def distribute_columns(tree: RootedTree, block: SnapshotBlock, counts=None,
-                       block_size: int | None = None, maps: TreeMaps | None = None) -> LeafAssignment:
+                       block_size: int | None = None) -> LeafAssignment:
     """Slice a snapshot matrix across the tree's leaves, in depth-first leaf order.
 
     Exactly one of counts / block_size may be given; with neither, the columns
@@ -134,8 +134,7 @@ def distribute_columns(tree: RootedTree, block: SnapshotBlock, counts=None,
     exactly the resulting number of leaves.  Leaves are views of their
     columns of ``block``, in its memory order, and are not scanned again.
     """
-    maps = maps if maps is not None else derive_maps(tree)
-    order = maps.leaf_order
+    order = derive_maps(tree).leaf_order
     k = len(order)
     m = block.count
     if counts is not None and block_size is not None:
@@ -158,12 +157,8 @@ def distribute_columns(tree: RootedTree, block: SnapshotBlock, counts=None,
         raise ValueError(f"{len(counts)} blocks for {k} leaves")
     if any(c < 0 for c in counts) or sum(counts) != m:
         raise ValueError(f"block sizes {counts} do not partition {m} columns")
-    blocks = {}
-    at = 0
-    for leaf, c in zip(order, counts):
-        blocks[leaf] = block._part(block.values[:, at : at + c])
-        at += c
-    return LeafAssignment(blocks)
+    maps = derive_maps(tree, dict(zip(order, counts)))
+    return LeafAssignment({leaf: block._part(block.values[:, maps.columns(leaf)]) for leaf in order})
 
 
 def _check_rule(omega: float, target: float = 1.0) -> float:
@@ -219,8 +214,8 @@ def error_bound(tree: RootedTree, tol: ToleranceAssignment, node: int | None = N
                 maps: TreeMaps | None = None) -> float:
     """A-priori bound sqrt(sum of epsilon**2 over the subtree) on the total
     squared projection error of the node's output against its subordinate
-    snapshots.  It walks the child lists, not ``maps.subtree_nodes``, whose
-    table a long chain cannot afford; given maps vouch for the tree."""
+    snapshots, summed over a walk of the child lists; given maps vouch for
+    the tree."""
     if len(tol.epsilons) != tree.node_count:
         raise ValueError("tolerance map does not cover the tree")
     if maps is None:
@@ -443,6 +438,8 @@ class IncrementalSession:
             raise SessionError("session already finalized")
         if self._pushed == 0:
             raise SessionError("no blocks were pushed")
+        if self._seen == 0:
+            raise ValueError("no snapshots anywhere in the tree")
         self._done = True
         if self._pushed < self.planned:
             # close out early: one root-tolerance POD over what accumulated

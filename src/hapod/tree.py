@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 __all__ = [
     "RootedTree",
@@ -42,19 +41,17 @@ class RootedTree:
 
 @dataclass(frozen=True, eq=False)
 class TreeMaps:
-    """Derived per-node structure: levels, leaves, parents, subtrees.
+    """Derived per-node structure: levels, leaves, parents, column ranges.
 
     ``leaf_order`` lists the leaves in depth-first order following the child
     lists; that order is the canonical one for attaching data blocks and for
     the row order of tracked snapshot coefficients.  ``post_order`` lists
     every node after its children, children in child-list order, which is
     the order a single worker evaluates them in.
-    ``subordinate_leaf_counts`` is only present when leaf block sizes were
-    supplied to derive_maps.
-    ``subtree_nodes[v]`` lists v and then its descendants, children in
-    child-list order.  It is built from ``post_order`` and ``parent`` on
-    first read and kept: it holds O(nodes x depth) entries, which for a long
-    chain dwarfs every other field, and only verification reads it.
+    ``subordinate_leaf_counts`` and ``column_start`` are only present when
+    leaf block sizes were supplied to derive_maps.  The leaves' columns
+    follow one another in leaf order, so every subtree's columns form one
+    range, which `columns` returns.
     """
 
     leaves: tuple[int, ...]
@@ -64,17 +61,11 @@ class TreeMaps:
     parent: tuple[int, ...]
     post_order: tuple[int, ...]
     subordinate_leaf_counts: tuple[int, ...] | None = None
+    column_start: tuple[int, ...] | None = None
 
-    @cached_property
-    def subtree_nodes(self) -> tuple[tuple[int, ...], ...]:
-        # post-order finishes each child, in child-list order, before its parent
-        below: list[list[int]] = [[] for _ in self.parent]
-        subtree: list[tuple[int, ...]] = [()] * len(self.parent)
-        for v in self.post_order:
-            subtree[v] = (v, *below[v])
-            if self.parent[v] >= 0:
-                below[self.parent[v]].extend(subtree[v])
-        return tuple(subtree)
+    def columns(self, v: int) -> slice:
+        """Node v's columns as a slice, given leaf counts."""
+        return slice(self.column_start[v], self.column_start[v] + self.subordinate_leaf_counts[v])
 
 
 def _walk(tree: RootedTree) -> tuple[list[int], list[int]]:
@@ -128,7 +119,9 @@ def derive_maps(tree: RootedTree, leaf_counts=None) -> TreeMaps:
 
     leaf_counts, if given, maps leaf id -> number of snapshots attached there;
     the per-node totals over each subtree are then filled in as
-    subordinate_leaf_counts.
+    subordinate_leaf_counts, and each node's first column as column_start:
+    a leaf starts where the previous leaf in leaf order ends, an interior
+    node at its first child.
     """
     try:
         parent, post = _walk(tree)
@@ -139,21 +132,24 @@ def derive_maps(tree: RootedTree, leaf_counts=None) -> TreeMaps:
         level[v] = 1 + max((level[c] for c in tree.children[v]), default=0)
     leaves = tuple(v for v, kids in enumerate(tree.children) if not kids)
 
-    sub_counts = None
+    sub_counts = starts = None
     if leaf_counts is not None:
         missing = [v for v in leaves if v not in leaf_counts]
         if missing:
-            raise ValueError(f"leaf_counts missing leaf {missing[0]}")
-        per_node = [0] * tree.node_count
+            raise ValueError(f"no snapshot count for leaf {missing[0]}")
+        per_node, first, at = [0] * tree.node_count, [0] * tree.node_count, 0
         for v in post:
-            if not tree.children[v]:
+            kids = tree.children[v]
+            if kids:
+                per_node[v] = sum(per_node[c] for c in kids)
+                first[v] = first[kids[0]]
+            else:
                 c = int(leaf_counts[v])
                 if c < 0:
                     raise ValueError(f"negative snapshot count at leaf {v}")
-                per_node[v] = c
-            else:
-                per_node[v] = sum(per_node[c] for c in tree.children[v])
-        sub_counts = tuple(per_node)
+                per_node[v], first[v] = c, at
+                at += c
+        sub_counts, starts = tuple(per_node), tuple(first)
 
     return TreeMaps(
         leaves=leaves,
@@ -163,6 +159,7 @@ def derive_maps(tree: RootedTree, leaf_counts=None) -> TreeMaps:
         parent=tuple(parent),
         post_order=tuple(post),
         subordinate_leaf_counts=sub_counts,
+        column_start=starts,
     )
 
 

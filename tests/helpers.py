@@ -70,6 +70,14 @@ def random_tree(rng, node_count):
     return RootedTree(tuple(tuple(c) for c in children), 0)
 
 
+def subtree_nodes(tree, node):
+    """node, then its descendants, by a recursive walk of the child lists."""
+    out = [node]
+    for child in tree.children[node]:
+        out.extend(subtree_nodes(tree, child))
+    return out
+
+
 def random_split(rng, total, parts):
     """Split total columns over parts leaves, zeros allowed."""
     if parts == 1:

@@ -36,7 +36,8 @@ from hapod import (
 )
 from hapod.cli import main as cli_main
 from hapod.io import read_floats, read_matrix, write_matrix
-from helpers import naive_rank, oracle_pod_count, random_case, span_residual_sq, stacked_leaf_columns
+from helpers import (naive_rank, oracle_pod_count, random_case, span_residual_sq, stacked_leaf_columns,
+                     subtree_nodes)
 
 CASE_COUNT = 200
 CASE_SEED = 20260819
@@ -86,7 +87,7 @@ def test_mode_bound_on_random_trees():
     checked = 0
     for tree, maps, leaves, tol, data, space in iter_cases():
         result = run_hapod(tree, leaves, tol)
-        subtree_sets = [set(maps.subtree_nodes[v]) for v in range(tree.node_count)]
+        subtree_sets = [set(subtree_nodes(tree, v)) for v in range(tree.node_count)]
         for report in result.reports:
             sub = np.hstack(
                 [leaves.blocks[u].values for u in maps.leaf_order

@@ -423,6 +423,64 @@ class TestVerify:
         assert "report.tsv" in err and "line 3" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("take", [lambda s: np.hstack([s, s]), lambda s: s[:, :150]],
+                             ids=["doubled", "first-half"])
+    def test_mismatched_input_exits_usage(self, synthetic_file, tmp_path, capsys, take):
+        out = tmp_path / "res"
+        assert run_cli("run", synthetic_file, "--out", out, "--eps-star", 0.01,
+                       "--topology", "chain", "--block-size", 30) == 0
+        values = take(read_matrix(synthetic_file)[0])
+        other = tmp_path / "other.hpd"
+        write_matrix(other, values)
+        assert run_cli("verify", out, other) == 1
+        err = capsys.readouterr().err
+        assert "report.tsv" in err and "300 columns" in err and f"has {values.shape[1]}" in err
+        assert "Traceback" not in err
+
+    def test_leaf_without_a_range_exits_usage(self, finished_run, capsys):
+        out, snaps = finished_run
+        path = out / "report.tsv"
+        lines = path.read_text().splitlines(True)
+        leaf = next(i for i, ln in enumerate(lines) if ln.split("\t")[2] == "1")
+        lines[leaf] = "\t".join(lines[leaf].split("\t")[:-2] + ["", ""]) + "\n"
+        path.write_text("".join(lines))
+        assert run_cli("verify", out, snaps) == 1
+        err = capsys.readouterr().err
+        assert "report.tsv" in err and f"leaf {lines[leaf].split()[0]}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("omega", "nan"), ("omega", "5.0"), ("omega", "0.0"),
+                                            ("eps_star", "-0.01"), ("eps_star", "abc")])
+    def test_malformed_summary_exits_usage(self, finished_run, capsys, key, value):
+        out, snaps = finished_run
+        path = out / "summary.txt"
+        path.write_text("".join(f"{key}={value}\n" if ln.startswith(f"{key}=") else ln
+                                for ln in path.read_text().splitlines(True)))
+        assert run_cli("verify", out, snaps) == 1
+        err = capsys.readouterr().err
+        assert "summary.txt" in err
+        assert "Traceback" not in err
+
+    def test_peak_memory_about_one_copy_of_the_input(self, tmp_path):
+        # every node's flat POD reads a slice of the mapped input; only the
+        # root's dense SVD copies all of it
+        path = tmp_path / "chain.hpd"
+        data = synthetic_decay(200, 1000, 0.1, 0)
+        write_matrix(path, data.values)
+        payload = data.values.nbytes
+        del data
+        out = tmp_path / "res"
+        assert run_cli("run", path, "--out", out, "--eps-star", 0.01,
+                       "--topology", "chain", "--block-size", 100) == 0
+        tracemalloc.start()
+        try:
+            code = run_cli("verify", out, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.5 * payload
+
     def test_cap_refuses_large_dense_check(self, finished_run, capsys):
         out, snaps = finished_run
         assert run_cli("verify", out, snaps, "--cap", 100) == 1

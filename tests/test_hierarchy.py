@@ -7,7 +7,6 @@ import pytest
 import scipy.linalg
 
 import hapod.hierarchy
-import hapod.parallel
 from hapod import (
     IncrementalSession,
     InnerProductSpace,
@@ -33,7 +32,7 @@ from hapod import (
 from hapod.datagen import BurgersConfig, burgers_snapshots
 from hapod.hierarchy import evaluate_node
 from hapod.io import load_snapshots, write_matrix
-from helpers import oracle_pod_count, random_case, span_residual_sq, stacked_leaf_columns
+from helpers import oracle_pod_count, random_case, span_residual_sq, stacked_leaf_columns, subtree_nodes
 
 POD = importlib.import_module("hapod.pod")  # hapod.pod is the function
 
@@ -202,29 +201,17 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             error_bound(build_star(2), ToleranceAssignment((0.1, 0.2)))
 
-    def test_run_leaves_the_subtree_table_unbuilt(self, monkeypatch):
-        # the table holds O(nodes x depth) entries: on a long chain it would
-        # dwarf the run itself
+    def test_chain_bounds_match_a_walk_of_the_subtree(self):
         tree = build_chain(300)
         block = SnapshotBlock(InnerProductSpace(8), np.random.default_rng(2).standard_normal((8, 300)))
         leaves = distribute_columns(tree, block, block_size=1)
         tol = assign_tolerances(tree, leaves, 0.1, 0.75)
-        seen = []
-        real = hapod.parallel.derive_maps
-
-        def spy(*args):
-            seen.append(real(*args))
-            return seen[-1]
-
-        monkeypatch.setattr(hapod.parallel, "derive_maps", spy)
         result = run_hapod(tree, leaves, tol)
-        maps, = seen
-        assert "subtree_nodes" not in maps.__dict__
-        table = math.sqrt(sum(tol.epsilons[u] ** 2 for u in maps.subtree_nodes[tree.root]))
-        assert result.apriori_error_bound == pytest.approx(table, rel=1e-12)
-        for v in (tree.children[tree.root][0], maps.leaf_order[0]):
-            table = math.sqrt(sum(tol.epsilons[u] ** 2 for u in maps.subtree_nodes[v]))
-            assert error_bound(tree, tol, node=v) == pytest.approx(table, rel=1e-12)
+        walked = math.sqrt(sum(tol.epsilons[u] ** 2 for u in subtree_nodes(tree, tree.root)))
+        assert result.apriori_error_bound == pytest.approx(walked, rel=1e-12)
+        for v in (tree.children[tree.root][0], derive_maps(tree).leaf_order[0]):
+            walked = math.sqrt(sum(tol.epsilons[u] ** 2 for u in subtree_nodes(tree, v)))
+            assert error_bound(tree, tol, node=v) == pytest.approx(walked, rel=1e-12)
 
 
 class TestActualMeanError:
@@ -856,6 +843,20 @@ class TestIncrementalSession:
         with pytest.raises(SessionError):
             empty.finalize()
 
+    def test_only_empty_blocks_raise_as_the_chain_run_does(self):
+        empty = SnapshotBlock(InnerProductSpace(5), np.zeros((5, 0)))
+        tree = build_chain(2)
+        assignment = LeafAssignment(dict(zip(derive_maps(tree).leaf_order, [empty, empty])))
+        with pytest.raises(ValueError) as chain:
+            tol = assign_tolerances(tree, assignment, 0.1, 0.75, zero_leaf_tolerance=True)
+            run_hapod(tree, assignment, tol)
+        session = IncrementalSession(0.1, 0.75, planned_block_count=2)
+        session.push(empty)
+        session.push(empty)
+        with pytest.raises(ValueError) as info:
+            session.finalize()
+        assert str(info.value) == str(chain.value) == "no snapshots anywhere in the tree"
+
     def test_rejects_space_change_mid_stream(self):
         session = IncrementalSession(0.1, 0.5, planned_block_count=3)
         session.push(SnapshotBlock(InnerProductSpace(4), np.zeros((4, 2))))
@@ -872,7 +873,8 @@ class TestIncrementalSession:
             IncrementalSession(0.1, 0.5, 0)
 
     def test_set_up_memory_is_linear_in_planned_blocks(self):
-        # a table of every node's subtree would hold about 16 million ids here
+        # the maps keep a few entries per node of the 7999-node chain; a table
+        # of every node's subtree would hold about 16 million ids
         tracemalloc.start()
         try:
             IncrementalSession(0.1, 0.75, planned_block_count=4000)

@@ -13,7 +13,7 @@ from hapod.tree import (
     parse_tree_text,
     validate,
 )
-from helpers import random_tree
+from helpers import random_tree, subtree_nodes
 
 
 def naive_levels(tree):
@@ -118,14 +118,18 @@ class TestValidate:
 
 class TestDeriveMaps:
     def test_star_shape(self):
-        maps = derive_maps(build_star(4))
+        tree = build_star(4)
+        maps = derive_maps(tree)
         assert maps.leaves == (1, 2, 3, 4)
         assert maps.leaf_order == (1, 2, 3, 4)
         assert maps.level == (2, 1, 1, 1, 1)
         assert maps.depth == 2
         assert maps.parent[1] == 0
         assert maps.parent[0] == -1
-        assert set(maps.subtree_nodes[0]) == {0, 1, 2, 3, 4}
+        counts = {1: 2, 2: 0, 3: 1, 4: 3}
+        full = derive_maps(tree, counts)
+        assert full.column_start == (0, 0, 2, 2, 3)
+        assert full.columns(0) == slice(0, sum(counts.get(u, 0) for u in subtree_nodes(tree, 0)))
 
     def test_single_node(self):
         maps = derive_maps(RootedTree(((),), 0))
@@ -160,9 +164,31 @@ class TestDeriveMaps:
             counts = {leaf: int(rng.integers(0, 9)) for leaf in maps.leaves}
             full = derive_maps(tree, counts)
             for v in range(tree.node_count):
-                ref = sum(counts[u] for u in full.subtree_nodes[v] if u in counts)
+                ref = sum(counts[u] for u in subtree_nodes(tree, v) if u in counts)
                 assert full.subordinate_leaf_counts[v] == ref
             assert full.subordinate_leaf_counts[tree.root] == sum(counts.values())
+
+    def test_column_ranges_tile_in_leaf_and_child_order(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            tree = random_tree(rng, int(rng.integers(1, 30)))
+            assert derive_maps(tree).column_start is None
+            order = [u for u in subtree_nodes(tree, tree.root) if not tree.children[u]]
+            counts = {leaf: int(rng.integers(0, 9)) for leaf in order}
+            maps = derive_maps(tree, counts)
+            start, count = maps.column_start, maps.subordinate_leaf_counts
+            at = 0
+            for leaf in order:
+                assert start[leaf] == at
+                at += counts[leaf]
+            assert (start[tree.root], count[tree.root]) == (0, at)
+            for v, kids in enumerate(tree.children):
+                at = start[v]
+                for c in kids:
+                    assert start[c] == at
+                    at += count[c]
+                assert at == start[v] + (count[v] if kids else 0)
+                assert maps.columns(v) == slice(start[v], start[v] + count[v])
 
     def test_missing_leaf_count_raises(self):
         with pytest.raises(ValueError, match="leaf"):
