@@ -98,6 +98,9 @@ class NodeReport:
 
 @dataclass(frozen=True, eq=False)
 class HapodResult:
+    """The root's modes; a tracked run adds the right factor, with orthonormal
+    columns, one per mode, and one row per snapshot in depth-first leaf order."""
+
     modes: ModeSet
     apriori_error_bound: float
     reports: tuple[NodeReport, ...]
@@ -303,21 +306,21 @@ def _node_report(tree: RootedTree, maps: TreeMaps, node: int, input_count: int,
 
 
 def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAssignment,
-                  backend: PodBackend, leaves: LeafAssignment, child_results, track: bool,
+                  backend: PodBackend, leaves: LeafAssignment, child_outputs, track: bool,
                   spread=None):
-    """POD step for one node given its children's outputs.
+    """POD step for one node given its children's node outputs, in child-list order.
 
-    child_results is a list of (node output, cumulative right factor or None)
-    in child-list order.  An interior node decomposes its children's outputs
-    side by side as one stacked block, whose rows are written only when a
-    row panel of the POD asks for them, so the stacked input is never held
-    whole.  Every node below the root returns one `_NodeOutput` (A, R,
-    sigma, tail), whose scaled modes are A R: an interior node its modes and
-    sigmas, a leaf a view of its own columns (`_leaf_step`), raw when it
-    would keep every column and, on the tall "gram" route, with its k right
-    vectors psi when it truncates.  The root returns its orthonormal
-    `ModeSet`.  spread runs the panels (see `pod`).  Returns (node output,
-    cumulative right factor or None, NodeReport).
+    An interior node decomposes them side by side as one stacked block, whose
+    rows are written only when a row panel of the POD asks for them, so the
+    stacked input is never held whole.  Every node below the root returns
+    one `_NodeOutput` (A, R, sigma, tail), whose scaled modes are A R: an
+    interior node its modes and sigmas, a leaf a view of its own columns
+    (`_leaf_step`), raw when it would keep every column and, on the tall
+    "gram" route, with its k right vectors psi when it truncates.  The root
+    returns its orthonormal `ModeSet`.  With track, every node also returns
+    its own right vectors psi, one row per input column, from which
+    `run_parallel` composes the right factor.  spread runs the panels (see
+    `pod`).  Returns (node output, psi or None, NodeReport).
     """
     eps = tol.epsilons[node]
     started = time.perf_counter()
@@ -325,23 +328,18 @@ def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAss
     if leaf:
         block = leaves.blocks[node]
     else:
-        block = SnapshotBlock._stack(leaves.space, [(kid.columns, kid.coef) for kid, _ in child_results])
+        block = SnapshotBlock._stack(leaves.space, [(kid.columns, kid.coef) for kid in child_outputs])
     if leaf and node != tree.root:
-        out, lhat = _leaf_step(block, eps, backend, track, spread)
+        out, psi = _leaf_step(block, eps, backend, track, spread)
     else:
         out = pod(block, eps, backend, want_right=track, spread=spread)
-        lhat = out.right
+        psi = out.right
         if node != tree.root:
             out = _scaled(out)
-    if track and not leaf:
-        # block_diag(child factors) @ the right vectors, one child's rows at a time
-        ends = np.cumsum([kid.count for kid, _ in child_results])
-        lhat = np.vstack([lh @ lhat[end - kid.count:end]
-                          for (kid, lh), end in zip(child_results, ends)])
     wall = time.perf_counter() - started
     report = _node_report(tree, maps, node, block.count, maps.subordinate_leaf_counts[node],
                           eps, out, wall)
-    return out, lhat, report
+    return out, psi, report
 
 
 def run_hapod(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignment,
@@ -351,10 +349,9 @@ def run_hapod(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignment
     This is `run_parallel` with one worker.  Child outputs are released as
     soon as their parent has consumed them, so the resident working set
     tracks one antichain of the tree rather than the full snapshot set.  With
-    track_right_factor=True the result also carries the cumulative right
-    factor: an (total snapshots) x (mode count) matrix with orthonormal
-    columns relating the final scaled modes back to the original snapshots
-    (rows in depth-first leaf order).
+    track_right_factor=True the result also carries the right factor (see
+    `HapodResult`), and the run holds every node's right vectors until the
+    root has finished.
     """
     from .parallel import run_parallel  # parallel builds on this module
 

@@ -17,6 +17,8 @@ import heapq
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
+import numpy as np
+
 from .hierarchy import HapodResult, LeafAssignment, NodeReport, ToleranceAssignment, error_bound, evaluate_node
 from .pod import PodBackend, _pooled_spread
 from .tree import RootedTree, derive_maps
@@ -80,7 +82,10 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
     no second pool.  Child outputs are released when their parent finishes.
     If a node raises, the running nodes finish, nothing new starts, and the
     exception of the lowest failing node id propagates with a note naming
-    that node.
+    that node.  With track_right_factor, every node's own right vectors psi
+    are held until the root finishes; one walk down then makes each child's
+    factor its psi times its rows of its parent's factor, one product per
+    node, and stacks the leaves' factors in leaf order.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be at least 1")
@@ -98,7 +103,8 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
     waiting = [len(kids) for kids in tree.children]
 
     resident = peak = 0
-    live: dict[int, tuple] = {}
+    live: dict = {}
+    psi: dict = {}
     reports: dict[int, NodeReport] = {}
     failures: dict[int, Exception] = {}
     running: dict = {}
@@ -114,11 +120,10 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
             for fut in done:
                 v = running.pop(fut)
                 try:
-                    out, lhat, rep = fut.result()
+                    live[v], psi[v], rep = fut.result()
                 except Exception as exc:  # let the running nodes finish
                     failures[v] = exc
                     continue
-                live[v] = (out, lhat)
                 reports[v] = rep
                 resident += rep.output_mode_count
                 peak = max(peak, resident)
@@ -135,13 +140,21 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
         failures[node].add_note(f"node {node} failed")
         raise failures[node]
 
-    final, lhat_root = live[tree.root]
+    right = None
+    if track_right_factor:
+        for v in reversed(maps.post_order):  # top down: psi[v] is v's factor by now
+            rows = np.cumsum([0] + [psi[c].shape[1] for c in tree.children[v]])
+            for c, a, b in zip(tree.children[v], rows, rows[1:]):
+                psi[c] = psi[c] @ psi[v][a:b]
+            if tree.children[v]:
+                del psi[v]
+        right = np.vstack([psi[leaf] for leaf in maps.leaf_order])
     result = HapodResult(
-        modes=final,
+        modes=live[tree.root],
         apriori_error_bound=error_bound(tree, tol, maps=maps),
         reports=tuple(reports[v] for v in sorted(reports)),
         root_node=tree.root,
-        right_factor=lhat_root if track_right_factor else None,
+        right_factor=right,
     )
     ordered = result.reports
     stats = ExecStats(

@@ -163,6 +163,17 @@ class TestRun:
         lhat, _ = read_matrix(out / "right_factor.hpd")
         sigmas = read_floats(out / "sigmas.txt")
         assert lhat.shape == (300, sigmas.size)
+        assert run_cli("run", synthetic_file, "--out", tmp_path / "rf2", "--eps-star", 0.05,
+                       "--topology", "star", "--blocks", 5, "--track-right-factor",
+                       "--workers", 2) == 0
+        assert (tmp_path / "rf2" / "right_factor.hpd").read_bytes() == (out / "right_factor.hpd").read_bytes()
+        assert np.max(np.abs(lhat.T @ lhat - np.eye(sigmas.size))) <= 1e-8
+        snaps, _ = read_matrix(synthetic_file)
+        modes, _ = read_matrix(out / "modes.hpd")
+        resid = snaps - (modes * sigmas[None, :]) @ lhat.T
+        bound = float(read_kv(out / "summary.txt")["apriori_error_bound"])
+        total_sq = float(np.sum(snaps * snaps))
+        assert float(np.sum(resid * resid)) <= bound * bound + 1e-8 * max(total_sq, 1.0)
 
     def test_refuses_nonempty_outdir(self, synthetic_file, tmp_path, capsys):
         out = tmp_path / "res"
@@ -435,6 +446,30 @@ class TestVerify:
         assert run_cli("verify", out, other) == 1
         err = capsys.readouterr().err
         assert "report.tsv" in err and "300 columns" in err and f"has {values.shape[1]}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", ["leaves-and-root-only", "duplicated-row"])
+    def test_report_needs_one_row_per_node(self, tmp_path, capsys, edit):
+        snaps = tmp_path / "snaps.hpd"
+        assert run_cli("gen", "synthetic", "--rows", 60, "--cols", 300,
+                       "--decay-rate", 0.05, "-o", snaps) == 0
+        out = tmp_path / "res"
+        assert run_cli("run", snaps, "--out", out, "--eps-star", 0.01,
+                       "--topology", "chain", "--block-size", 30) == 0
+        path = out / "report.tsv"
+        lines = path.read_text().splitlines(True)
+        rows = [ln.split("\t") for ln in lines[1:]]  # node, level, is_leaf, ...
+        merge = min(int(r[0]) for r in rows if r[2] == "0" and r[1] != "0")
+        if edit == "leaves-and-root-only":
+            lines = lines[:1] + [ln for ln, r in zip(lines[1:], rows) if r[2] == "1" or r[1] == "0"]
+            want = f"0 rows for node {merge} "
+        else:
+            lines += [ln for ln, r in zip(lines[1:], rows) if r[0] == str(merge)]
+            want = f"2 rows for node {merge} "
+        path.write_text("".join(lines))
+        assert run_cli("verify", out, snaps) == 1
+        err = capsys.readouterr().err
+        assert "report.tsv" in err and want in err
         assert "Traceback" not in err
 
     def test_leaf_without_a_range_exits_usage(self, finished_run, capsys):

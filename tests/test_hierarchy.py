@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import hapod.hierarchy
+import hapod.parallel
 from hapod import (
     IncrementalSession,
     InnerProductSpace,
@@ -374,8 +375,8 @@ class TestStackedInput:
         leaves = LeafAssignment({leaf: SnapshotBlock(space, np.zeros((dim, 0)))
                                  for leaf in tree.children[tree.root]})
         sigmas = np.exp(-0.3 * np.arange(n))
-        children = [(POD._NodeOutput(np.linalg.qr(rng.standard_normal((dim, n)))[0], sigmas, sigmas, 0.0),
-                     None) for _ in range(k)]
+        children = [POD._NodeOutput(np.linalg.qr(rng.standard_normal((dim, n)))[0], sigmas, sigmas, 0.0)
+                    for _ in range(k)]
         tol = ToleranceAssignment((0.5,) + (0.0,) * k)
         stacked_bytes = 8 * dim * k * n
         tracemalloc.start()
@@ -628,9 +629,8 @@ class TestRightFactor:
         assert np.allclose(approx, stacked, atol=1e-8)
 
     def test_merge_matches_block_diagonal_product(self):
-        # the root stacks each child's factor times its rows of the POD's
-        # right vectors; the reference is the dense block-diagonal product,
-        # here with a child that kept no modes
+        # each node hands back only its own right vectors, here with a child
+        # that kept no modes; the run stacks the block-diagonal product
         rng = np.random.default_rng(43)
         space = InnerProductSpace(10, rng.uniform(0.5, 2.0, 10))
         tree = build_star(3)
@@ -641,13 +641,65 @@ class TestRightFactor:
         })
         tol = ToleranceAssignment((0.3, 0.5, 1.0, 0.5))
         maps = derive_maps(tree, leaves.counts())
-        kids = [evaluate_node(tree, maps, c, tol, PodBackend(), leaves, [], True)[:2]
+        kids = [evaluate_node(tree, maps, c, tol, PodBackend(), leaves, [], True)
                 for c in tree.children[tree.root]]
-        assert [ms.count == 0 for ms, _ in kids] == [False, True, False]
-        out, lhat, _ = evaluate_node(tree, maps, tree.root, tol, PodBackend(), leaves, kids, True)
-        ref = scipy.linalg.block_diag(*[lh for _, lh in kids]) @ out.right
+        assert [out.count == 0 for out, _, _ in kids] == [False, True, False]
+        out, psi, report = evaluate_node(tree, maps, tree.root, tol, PodBackend(), leaves,
+                                         [kid for kid, _, _ in kids], True)
+        assert psi is out.right
+        assert psi.shape == (report.input_count, out.count)
+        ref = scipy.linalg.block_diag(*[own for _, own, _ in kids]) @ psi
+        lhat = run_hapod(tree, leaves, tol, track_right_factor=True).right_factor
         assert lhat.shape == ref.shape == (18, out.count)
         assert np.allclose(lhat, ref, rtol=1e-12, atol=0.0)
+
+    def test_each_node_returns_only_its_own_right_vectors(self, monkeypatch):
+        # psi has one row per input column of the node, not one per
+        # snapshot below it
+        block = synthetic_decay(30, 6 * 12, 0.1, seed=3)
+        tree = build_chain(6)
+        leaves = distribute_columns(tree, block, block_size=12)
+        tol = assign_tolerances(tree, leaves, 1e-2, 0.75)
+        shapes, real = [], hapod.parallel.evaluate_node
+
+        def record(*args, **kwargs):
+            out, psi, report = real(*args, **kwargs)
+            shapes.append((psi.shape, (report.input_count, report.output_mode_count)))
+            return out, psi, report
+
+        monkeypatch.setattr(hapod.parallel, "evaluate_node", record)
+        result, _ = run_parallel(tree, leaves, tol, track_right_factor=True)
+        assert len(shapes) == tree.node_count
+        assert all(got == want for got, want in shapes)
+        assert any(report.input_count < report.subordinate_count for report in result.reports)
+        assert result.right_factor.shape == (block.count, result.mode_count)
+
+    @pytest.mark.parametrize("shape", ["one-node", "star-with-empty-leaf"])
+    def test_one_node_and_empty_leaf_trees(self, shape):
+        rng = np.random.default_rng(47)
+        space = InnerProductSpace(8)
+        if shape == "one-node":
+            tree = RootedTree(((),), 0)
+            blocks = {0: SnapshotBlock(space, rng.standard_normal((8, 5)))}
+        else:
+            tree = build_star(3)
+            blocks = {1: SnapshotBlock(space, rng.standard_normal((8, 4))),
+                      2: SnapshotBlock(space, np.zeros((8, 0))),
+                      3: SnapshotBlock(space, rng.standard_normal((8, 6)))}
+        leaves = LeafAssignment(blocks)
+        tol = assign_tolerances(tree, leaves, 0.1, 1.0 if shape == "one-node" else 0.75)
+        runs = [run_parallel(tree, leaves, tol, worker_count=w, track_right_factor=True)[0]
+                for w in (1, 2)]
+        lhat = runs[0].right_factor
+        assert np.array_equal(runs[1].right_factor, lhat)
+        stacked = stacked_leaf_columns(derive_maps(tree, leaves.counts()), leaves)
+        assert lhat.shape == (stacked.shape[1], runs[0].mode_count) and runs[0].mode_count > 0
+        assert np.max(np.abs(lhat.T @ lhat - np.eye(runs[0].mode_count))) <= 1e-8
+        resid = stacked - (runs[0].modes.modes * runs[0].modes.sigmas[None, :]) @ lhat.T
+        assert float(np.sum(resid * resid)) <= runs[0].apriori_error_bound ** 2 + 1e-12
+        if shape == "one-node":
+            ref = pod(blocks[0], tol.epsilons[0], want_right=True)
+            assert np.array_equal(lhat, ref.right)
 
     def test_disabled_by_default(self):
         rng = np.random.default_rng(41)
