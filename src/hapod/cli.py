@@ -20,9 +20,9 @@ import scipy.linalg
 
 from . import io as hio
 from .datagen import BurgersConfig, GenerationError, burgers_snapshots, synthetic_decay
-from .hierarchy import NodeReport, _check_rule, actual_mean_error, assign_tolerances, distribute_columns
+from .hierarchy import NodeReport, _check_rule, _chunk_counts, actual_mean_error, assign_tolerances, distribute_columns
 from .parallel import run_parallel
-from .pod import InnerProductSpace, ModeSet, PodBackend, pod, truncation_rank
+from .pod import InnerProductSpace, ModeSet, PodBackend, _valid_sigmas, pod, truncation_rank
 from .tree import RootedTree, build_balanced, build_chain, build_star, derive_maps, format_tree_text, parse_tree_text
 
 EXIT_OK = 0
@@ -36,6 +36,7 @@ REPORT_FILE = "report.tsv"
 SUMMARY_FILE = "summary.txt"
 TREE_FILE = "tree.txt"
 RIGHT_FILE = "right_factor.hpd"
+TOPOLOGIES = "star, chain, balanced[:depth], file:PATH"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,12 +120,21 @@ def cmd_gen(args) -> int:
 
 def _pick_topology(topology: str, total_columns: int, blocks: int | None = None,
                    block_size: int | None = None) -> RootedTree:
-    """The tree a topology name asks for; only ``balanced:N`` takes a suffix,
-    its depth, 2 if left out."""
+    """The tree a topology name asks for, with a leaf per block of --blocks or
+    per chunk of --block-size (`_chunk_counts`), not both, as many as a file:
+    tree has.  Only ``balanced:N`` takes a suffix, its depth, 2 if left out."""
+    if blocks is not None and block_size is not None:
+        raise ValueError("pass --blocks or --block-size, not both")
+    if block_size is not None:
+        blocks = len(_chunk_counts(total_columns, block_size))
     name, depth = topology, 2
     if name.startswith("file:"):
         path = name[len("file:") :]
-        return parse_tree_text(Path(path).read_text())
+        tree = parse_tree_text(Path(path).read_text())
+        leaves = sum(not kids for kids in tree.children)
+        if blocks is not None and blocks != leaves:
+            raise ValueError(f"{blocks} blocks for the {leaves} leaves of the tree in {path}")
+        return tree
     if ":" in name:
         name, _, suffix = name.partition(":")
         if name != "balanced":
@@ -133,25 +143,15 @@ def _pick_topology(topology: str, total_columns: int, blocks: int | None = None,
             depth = int(suffix)
         except ValueError:
             raise ValueError(f"bad topology depth suffix in {topology!r}") from None
-    if blocks is not None and block_size is not None:
-        raise ValueError("pass --blocks or --block-size, not both")
-    if blocks is not None:
-        k = blocks
-    elif block_size is not None:
-        if block_size < 1:
-            raise ValueError("--block-size must be at least 1")
-        k = max(1, math.ceil(total_columns / block_size))
-    else:
+    if blocks is None:
         raise ValueError("pick a leaf split with --blocks or --block-size")
-    if k < 1:
-        raise ValueError("need at least one block")
     if name == "star":
-        return build_star(k)
+        return build_star(blocks)
     if name == "chain":
-        return build_chain(k)
+        return build_chain(blocks)
     if name == "balanced":
-        return build_balanced(k, depth)
-    raise ValueError(f"unknown topology {topology!r} (star, chain, balanced[:depth], file:PATH)")
+        return build_balanced(blocks, depth)
+    raise ValueError(f"unknown topology {topology!r} ({TOPOLOGIES})")
 
 
 def _write_report(path, reports, maps) -> None:
@@ -175,7 +175,7 @@ def _read_report(path, tree: RootedTree, input_count: int):
             if None in r or None in r.values():
                 raise ValueError(f"{path}: line {reader.line_num} does not have one field per column")
             rows.append(r)
-    for name in ("node", "local_epsilon", "output_mode_count", "col_start", "col_end"):
+    for name in ("node", "output_mode_count", "col_start", "col_end"):
         if name not in (reader.fieldnames or ()):
             raise ValueError(f"{path}: no {name} column")
     try:
@@ -281,10 +281,8 @@ def cmd_run(args) -> int:
 
 def _oracle_count(values: np.ndarray, space: InnerProductSpace, epsilon: float) -> int:
     """Mode count of one flat POD at the given tolerance, via dense SVD."""
-    if epsilon == 0.0:
+    if epsilon == 0.0 or values.shape[1] == 0:  # a flat POD at 0 keeps every column
         return values.shape[1]
-    if values.shape[1] == 0:
-        return 0
     svals = scipy.linalg.svdvals(space.weigh(values))
     return truncation_rank(svals, epsilon)
 
@@ -324,10 +322,10 @@ def cmd_verify(args) -> int:
     sigmas = hio.read_floats(results / SIGMAS_FILE)
     tree = parse_tree_text((results / TREE_FILE).read_text())
     report, maps = _read_report(results / REPORT_FILE, tree, snapshots.count)
-    try:  # the root's budget by the rule of the run
+    try:  # every node's tolerance by the rule of the run, never the report's
         eps_star, omega = float(summary["eps_star"]), float(summary["omega"])
         counts = {v: maps.subordinate_leaf_counts[v] for v in maps.leaves}
-        root_budget = assign_tolerances(tree, counts, eps_star, omega).epsilons[tree.root]
+        eps = assign_tolerances(tree, counts, eps_star, omega).epsilons
     except KeyError as exc:
         raise ValueError(f"{results / SUMMARY_FILE}: no {exc.args[0]}= line") from None
     except ValueError as exc:
@@ -335,12 +333,10 @@ def cmd_verify(args) -> int:
 
     checks: list[tuple[str, bool, str]] = []
 
-    ok_sig = (
-        sigmas.size == mode_values.shape[1]
-        and bool(np.all(np.isfinite(sigmas)))
-        and bool(np.all(sigmas >= 0.0))
-        and (sigmas.size < 2 or bool(np.all(np.diff(sigmas) <= 0.0)))
-    )
+    try:
+        ok_sig = _valid_sigmas(sigmas).size == mode_values.shape[1]
+    except ValueError:
+        ok_sig = False
     checks.append(
         ("sigmas-file", ok_sig,
          f"{sigmas.size} values for {mode_values.shape[1]} modes, finite/nonnegative/sorted")
@@ -363,7 +359,7 @@ def cmd_verify(args) -> int:
          f"measured {mean_err:.6g} vs target {eps_star * eps_star:.6g}")
     )
 
-    root_oracle = _oracle_count(snapshots.values, space, root_budget)
+    root_oracle = _oracle_count(snapshots.values, space, eps[tree.root])
     checks.append(
         ("root-mode-bound", mode_values.shape[1] <= root_oracle,
          f"{mode_values.shape[1]} modes vs flat-POD count {root_oracle} at its budget")
@@ -374,7 +370,7 @@ def cmd_verify(args) -> int:
         node = int(r["node"])
         if node == tree.root:
             continue
-        bound = _oracle_count(snapshots.values[:, maps.columns(node)], space, float(r["local_epsilon"]))
+        bound = _oracle_count(snapshots.values[:, maps.columns(node)], space, eps[node])
         if int(r["output_mode_count"]) > bound:
             worst = f"node {node}: {r['output_mode_count']} modes exceed flat-POD count {bound}"
             break
@@ -438,6 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
         # the root's share of the error budget, for run and bench alike
         return _check_rule(float(text))
 
+    def block_size(text: str) -> int:
+        # a size the chunk rule takes, for run and bench alike
+        _chunk_counts(0, int(text))
+        return int(text)
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate snapshot data")
@@ -463,9 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="results directory")
     run.add_argument("--eps-star", type=float, required=True, help="mean-error target")
     run.add_argument("--omega", type=omega, default=0.75)
-    run.add_argument("--topology", required=True, help="star | chain | balanced[:depth] | file:PATH")
+    run.add_argument("--topology", required=True, help=TOPOLOGIES)
     run.add_argument("--blocks", type=int, default=None)
-    run.add_argument("--block-size", type=int, default=None)
+    run.add_argument("--block-size", type=block_size, default=None)
     run.add_argument("--backend", choices=("gram", "svd"), default="gram")
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--track-right-factor", action="store_true")
@@ -482,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="time flat POD against tree HAPOD")
     ben.add_argument("--rows", type=int, default=500)
     ben.add_argument("--sizes", required=True, help="comma-separated snapshot counts")
-    ben.add_argument("--block-size", type=int, default=100)
-    ben.add_argument("--topologies", default="balanced", help="comma list of star, chain, balanced[:depth], file:PATH")
+    ben.add_argument("--block-size", type=block_size, default=100)
+    ben.add_argument("--topologies", default="balanced", help=f"comma list of {TOPOLOGIES}")
     ben.add_argument("--decay-rate", type=float, default=0.02)
     ben.add_argument("--eps-star", type=float, default=1e-3)
     ben.add_argument("--omega", type=omega, default=0.75)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pod import (InnerProductSpace, ModeSet, PodBackend, SnapshotBlock, _blas_ready, _leaf_step, _panel,
-                  _pooled_spread, _row_panels, _scaled, block_gramian_pod, pod)
+                  _pooled_spread, _row_panels, _scaled, _valid_epsilon, block_gramian_pod, pod)
 from .tree import RootedTree, TreeMaps, build_chain, derive_maps
 
 __all__ = [
@@ -45,15 +45,12 @@ class SessionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ToleranceAssignment:
-    """One nonnegative truncation tolerance per node id."""
+    """One finite, nonnegative truncation tolerance per node id."""
 
     epsilons: tuple[float, ...]
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        if any(not math.isfinite(e) or e < 0.0 for e in eps):
-            raise ValueError("tolerances must be finite and nonnegative")
-        object.__setattr__(self, "epsilons", eps)
+        object.__setattr__(self, "epsilons", tuple(_valid_epsilon(e) for e in self.epsilons))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,34 +124,34 @@ class HapodResult:
         return max(counts, default=0)
 
 
+def _chunk_counts(m: int, block_size: int) -> list[int]:
+    """Chunks of block_size of m columns, the last one shorter; [0] for m = 0."""
+    if block_size < 1:
+        raise ValueError(f"block size must be at least 1, got {block_size}")
+    full, rest = divmod(m, block_size)
+    return [block_size] * full + ([rest] if rest or not full else [])
+
+
 def distribute_columns(tree: RootedTree, block: SnapshotBlock, counts=None,
                        block_size: int | None = None) -> LeafAssignment:
     """Slice a snapshot matrix across the tree's leaves, in depth-first leaf order.
 
     Exactly one of counts / block_size may be given; with neither, the columns
-    are split as evenly as possible.  block_size cuts consecutive chunks of
-    that many columns (the last one shorter) and requires the tree to have
-    exactly the resulting number of leaves.  Leaves are views of their
-    columns of ``block``, in its memory order, and are not scanned again.
+    are split as evenly as possible.  block_size cuts the chunks of
+    `_chunk_counts` and requires the tree to have exactly that many leaves.
+    Leaves are views of their columns of ``block``, in its memory order, and
+    are not scanned again.
     """
     order = derive_maps(tree).leaf_order
     k = len(order)
     m = block.count
     if counts is not None and block_size is not None:
         raise ValueError("pass either counts or block_size, not both")
-    if counts is None:
-        if block_size is not None:
-            if block_size < 1:
-                raise ValueError("block_size must be positive")
-            full = m // block_size
-            counts = [block_size] * full
-            if m - full * block_size:
-                counts.append(m - full * block_size)
-            if not counts:
-                counts = [0]
-        else:
-            base, extra = divmod(m, k)
-            counts = [base + 1] * extra + [base] * (k - extra)
+    if block_size is not None:
+        counts = _chunk_counts(m, block_size)
+    elif counts is None:
+        base, extra = divmod(m, k)
+        counts = [base + 1] * extra + [base] * (k - extra)
     counts = [int(c) for c in counts]
     if len(counts) != k:
         raise ValueError(f"{len(counts)} blocks for {k} leaves")
@@ -266,7 +263,7 @@ def _squared_error(block: SnapshotBlock, modes: ModeSet, spread) -> float:
 
     def gather(p):
         a, b = panels[p]
-        s = _panel(block, a, b).values
+        s = _panel(block, a, b, spaces[p]).values
         return float(np.sum(spaces[p].norms_sq(s))), spaces[p].gram(_blas_ready(modes.modes[a:b]), s)
 
     def add(part):
@@ -277,7 +274,7 @@ def _squared_error(block: SnapshotBlock, modes: ModeSet, spread) -> float:
     def residual(p):
         a, b = panels[p]
         r = _blas_ready(modes.modes[a:b]) @ coef
-        return float(np.sum(spaces[p].norms_sq(np.subtract(_panel(block, a, b).values, r, out=r))))
+        return float(np.sum(spaces[p].norms_sq(np.subtract(_panel(block, a, b, spaces[p]).values, r, out=r))))
 
     spread(gather, len(panels), add)
     left = total - float(np.vdot(coef, coef))
@@ -319,8 +316,9 @@ def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAss
     "gram" route, with its k right vectors psi when it truncates.  The root
     returns its orthonormal `ModeSet`.  With track, every node also returns
     its own right vectors psi, one row per input column, from which
-    `run_parallel` composes the right factor.  spread runs the panels (see
-    `pod`).  Returns (node output, psi or None, NodeReport).
+    `run_parallel` composes the right factor; a node below the root that
+    passes its input through returns None, its psi being I.  spread runs
+    the panels (see `pod`).  Returns (node output, psi or None, NodeReport).
     """
     eps = tol.epsilons[node]
     started = time.perf_counter()
@@ -332,7 +330,7 @@ def evaluate_node(tree: RootedTree, maps: TreeMaps, node: int, tol: ToleranceAss
     if leaf and node != tree.root:
         out, psi = _leaf_step(block, eps, backend, track, spread)
     else:
-        out = pod(block, eps, backend, want_right=track, spread=spread)
+        out = pod(block, eps, backend, want_right=track and (eps > 0.0 or node == tree.root), spread=spread)
         psi = out.right
         if node != tree.root:
             out = _scaled(out)
@@ -378,8 +376,6 @@ class IncrementalSession:
     def __init__(self, target: float, omega: float, planned_block_count: int,
                  backend: PodBackend | None = None):
         _check_rule(omega, target)
-        if planned_block_count < 1:
-            raise ValueError("planned_block_count must be at least 1")
         self.target = float(target)
         self.omega = float(omega)
         self.planned = int(planned_block_count)

@@ -84,8 +84,8 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
     exception of the lowest failing node id propagates with a note naming
     that node.  With track_right_factor, every node's own right vectors psi
     are held until the root finishes; one walk down then makes each child's
-    factor its psi times its rows of its parent's factor, one product per
-    node, and stacks the leaves' factors in leaf order.
+    factor its psi (None: I, so a copy) times its rows of its parent's
+    factor, as many as its output modes, and stacks the leaves' in leaf order.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be at least 1")
@@ -94,10 +94,7 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
     extra = set(leaves.blocks) - set(maps.leaves)
     if extra:
         raise ValueError(f"assignment names node {min(extra)} which is not a leaf")
-    if len(tol.epsilons) != tree.node_count:
-        raise ValueError(
-            f"tolerance map covers {len(tol.epsilons)} nodes but the tree has {tree.node_count}"
-        )
+    bound = error_bound(tree, tol, maps=maps)  # refuses a tolerance map that misses a node
     rank = {v: i for i, v in enumerate(maps.post_order)}
     ready = sorted((rank[v], v) for v in maps.leaves)
     waiting = [len(kids) for kids in tree.children]
@@ -143,15 +140,15 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
     right = None
     if track_right_factor:
         for v in reversed(maps.post_order):  # top down: psi[v] is v's factor by now
-            rows = np.cumsum([0] + [psi[c].shape[1] for c in tree.children[v]])
+            rows = np.cumsum([0] + [reports[c].output_mode_count for c in tree.children[v]])
             for c, a, b in zip(tree.children[v], rows, rows[1:]):
-                psi[c] = psi[c] @ psi[v][a:b]
+                psi[c] = psi[v][a:b].copy() if psi[c] is None else psi[c] @ psi[v][a:b]
             if tree.children[v]:
                 del psi[v]
         right = np.vstack([psi[leaf] for leaf in maps.leaf_order])
     result = HapodResult(
         modes=live[tree.root],
-        apriori_error_bound=error_bound(tree, tol, maps=maps),
+        apriori_error_bound=bound,
         reports=tuple(reports[v] for v in sorted(reports)),
         root_node=tree.root,
         right_factor=right,

@@ -98,6 +98,21 @@ def _read_only(a):
     return a
 
 
+def _valid_sigmas(sigmas) -> np.ndarray:
+    """The one check of a spectrum: finite, nonnegative, non-increasing."""
+    s = np.asarray(sigmas, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(s)) or np.any(s < 0.0) or np.any(np.diff(s) > 0.0):
+        raise ValueError("sigmas must be finite, nonnegative and non-increasing")
+    return s
+
+
+def _valid_epsilon(epsilon) -> float:
+    """The one check of a truncation tolerance: finite and nonnegative."""
+    if not (np.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"tolerances must be finite and nonnegative, got {epsilon}")
+    return float(epsilon)
+
+
 @dataclass(frozen=True, eq=False)
 class InnerProductSpace:
     """R^d with an optional strictly positive diagonal weight vector.
@@ -288,12 +303,10 @@ class ModeSet:
     right: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        s = np.asarray(self.sigmas, dtype=np.float64).reshape(-1)
+        s = _valid_sigmas(self.sigmas)
         m = np.asarray(self.modes, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != self.space.dimension or m.shape[1] != s.size:
             raise ValueError(f"mode shape {m.shape} inconsistent with {s.size} sigmas in R^{self.space.dimension}")
-        if s.size and (not np.all(np.isfinite(s)) or np.any(s < 0.0) or np.any(np.diff(s) > 0.0)):
-            raise ValueError("sigmas must be finite, nonnegative and non-increasing")
         if not self.orthonormal and s.size and not np.all(s == 1.0):
             raise ValueError("passthrough mode sets must carry unit sigmas")
         object.__setattr__(self, "sigmas", _read_only(s))
@@ -360,13 +373,10 @@ def truncation_rank(sigmas: np.ndarray, epsilon: float) -> int:
     """Smallest N whose discarded tail satisfies sum_{n>N} sigma_n^2 <= epsilon^2.
 
     epsilon = 0 keeps every sigma that carries energy; trailing exact zeros
-    are never counted.
+    are never counted.  Invalid sigmas or epsilon raise ValueError.
     """
-    s = np.asarray(sigmas, dtype=np.float64).reshape(-1)
-    if s.size and (np.any(s < 0.0) or np.any(np.diff(s) > 0.0)):
-        raise ValueError("sigmas must be nonnegative and non-increasing")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
+    s = _valid_sigmas(sigmas)
+    _valid_epsilon(epsilon)
     # tails[k] = sum of squares from index k on, accumulated small-to-large;
     # the appended zero guarantees a hit for every budget
     tails = np.zeros(s.size + 1)
@@ -577,10 +587,10 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     block
         Snapshots as columns; may have zero columns.
     epsilon
-        Nonnegative truncation tolerance.  The discarded tail satisfies
-        sum_{n>N} sigma_n^2 <= epsilon^2.  Zero requests the passthrough
-        convention: the raw snapshots come back with unit sigmas and
-        ``orthonormal=False``, no decomposition happens.
+        Finite, nonnegative truncation tolerance (`_valid_epsilon`).  The
+        discarded tail satisfies sum_{n>N} sigma_n^2 <= epsilon^2.  Zero
+        requests the passthrough convention: the raw snapshots come back
+        with unit sigmas, right vectors I and ``orthonormal=False``.
     backend
         Eigendecomposition of the smaller squared matrix ("gram", default:
         the Gramian for m <= d columns, the correlation matrix beyond, each
@@ -604,8 +614,7 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     ModeSet
         Modes orthonormal in the block's inner product, sigmas descending.
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
+    _valid_epsilon(epsilon)
     backend = backend or PodBackend()
     space, m = block.space, block.count
     d = space.dimension
@@ -735,13 +744,13 @@ def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool = F
 def _leaf_step(block: SnapshotBlock, epsilon: float, backend: PodBackend | None,
                want_right: bool = False, spread=None):
     """The `_NodeOutput` of a leaf whose output only its parent reads, and its
-    right vectors if wanted.  On the tall "gram" route, when a Cholesky of
-    G - epsilon^2 I succeeds, truncation would keep every column, so the leaf
-    takes `pod`'s epsilon = 0 passthrough: its raw columns, undecomposed, with
-    unit sigmas and right vectors I.  A tall "gram" block that truncates stops
-    after its eigensolve: its own columns S with its k right vectors psi, whose
-    product S psi is the scaled modes sigma phi the parent stacks, so no d x k
-    modes are formed, mended or sign-fixed.  Any other leaf is `pod`'s."""
+    right vectors if wanted, None for I.  On the tall "gram" route, when a
+    Cholesky of G - epsilon^2 I succeeds, truncation would keep every column,
+    so the leaf takes `pod`'s epsilon = 0 passthrough: its raw columns with
+    unit sigmas.  A tall "gram" block that truncates stops after its
+    eigensolve: its own columns S with its k right vectors psi, whose product
+    S psi is the scaled modes sigma phi the parent stacks, so no d x k modes
+    are formed, mended or sign-fixed.  Any other leaf is `pod`'s."""
     m = block.count
     if epsilon > 0.0 and (backend or PodBackend()).kind == "gram" and 0 < m <= block.space.dimension:
         step = _gram_step(block, epsilon, spread, pass_full=True)
@@ -752,7 +761,7 @@ def _leaf_step(block: SnapshotBlock, epsilon: float, backend: PodBackend | None,
             psi = _read_only(np.ascontiguousarray(vectors(sig.size)))
             return _NodeOutput(block.values, psi, sig, tail), psi if want_right else None
         epsilon = 0.0  # truncation would keep every column
-    out = pod(block, epsilon, backend, want_right, spread)
+    out = pod(block, epsilon, backend, want_right and epsilon > 0.0, spread)
     return _scaled(out), out.right
 
 
@@ -769,7 +778,5 @@ def block_gramian_pod(prior: ModeSet, fresh: SnapshotBlock, epsilon: float,
     """
     if not prior.space.same_as(fresh.space):
         raise ValueError("prior modes and fresh block live in different spaces")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
     block = SnapshotBlock._stack(prior.space, [_scaled(prior)[:2], (fresh.values, None)])
     return pod(block, epsilon, backend)

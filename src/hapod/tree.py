@@ -180,8 +180,6 @@ def build_chain(num_blocks: int) -> RootedTree:
     """
     if num_blocks < 1:
         raise ValueError("a chain needs at least one block")
-    if num_blocks == 1:
-        return RootedTree(((),), 0)
     # ids go root-down in pairs: root 0, then (merge, fresh-leaf) = (2j-1, 2j);
     # the bottom merge's first child is the leaf holding block 1
     children: list[tuple[int, ...]] = [()] * (2 * num_blocks - 1)

@@ -34,6 +34,19 @@ def read_kv(path):
     return out
 
 
+def edit_report(path, node, **fields):
+    """Rewrite fields of one node's row of a report.tsv; a field given as a
+    function of the row gets that function's value."""
+    lines = path.read_text().splitlines(True)
+    header = lines[0].rstrip("\n").split("\t")
+    for i, line in enumerate(lines[1:], 1):
+        row = dict(zip(header, line.rstrip("\n").split("\t")))
+        if row["node"] == str(node):
+            row.update({k: str(v(row) if callable(v) else v) for k, v in fields.items()})
+            lines[i] = "\t".join(row[h] for h in header) + "\n"
+    path.write_text("".join(lines))
+
+
 class TestGen:
     def test_synthetic_writes_matrix_and_sidecar(self, tmp_path):
         path = tmp_path / "x.hpd"
@@ -139,6 +152,37 @@ class TestRun:
         assert "'star:3'" in err and "'chain:7'" in err
         assert "Traceback" not in err
         assert not (tmp_path / "s").exists()
+
+    def test_file_topology_runs_and_benches(self, synthetic_file, tmp_path, capsys):
+        tree = tmp_path / "star3.txt"
+        tree.write_text("0 1 2 3\n1\n2\n3\n")
+        for i, split in enumerate([("--blocks", 3), ("--block-size", 100), ()]):
+            out = tmp_path / f"res{i}"
+            assert run_cli("run", synthetic_file, "--out", out, "--eps-star", 0.01,
+                           "--topology", f"file:{tree}", *split) == 0
+            assert int(read_kv(out / "summary.txt")["blocks"]) == 3
+        capsys.readouterr()
+        # without -o the table goes to standard output
+        assert run_cli("bench", "--rows", 30, "--sizes", 90, "--block-size", 30,
+                       "--topologies", f"file:{tree}") == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert [r.split("\t")[1] for r in rows[1:]] == ["pod", f"file:{tree}"]
+
+    def test_file_topology_checks_the_leaf_split(self, synthetic_file, tmp_path, capsys):
+        # a file: tree brings its own leaves; the flags must agree with them
+        tree = tmp_path / "star3.txt"
+        tree.write_text("0 1 2 3\n1\n2\n3\n")
+        base = ("run", synthetic_file, "--out", tmp_path / "res", "--eps-star", 0.01,
+                "--topology", f"file:{tree}")
+        assert run_cli(*base, "--blocks", 7) == 1
+        assert "7 blocks for the 3 leaves" in capsys.readouterr().err
+        assert run_cli(*base, "--block-size", 50) == 1
+        assert "6 blocks for the 3 leaves" in capsys.readouterr().err
+        assert run_cli(*base, "--blocks", 2, "--block-size", 5) == 1
+        err = capsys.readouterr().err
+        assert "not both" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "res").exists()
 
     def test_single_block_chain_equals_flat_pod(self, synthetic_file, tmp_path):
         import math
@@ -309,6 +353,7 @@ class TestRun:
         assert run_cli(*base, "--topology", "star", "--blocks", 3,
                        "--block-size", 10) == 1
         assert run_cli(*base, "--topology", "star", "--block-size", 0) == 1
+        assert run_cli(*base, "--topology", "balanced", "--blocks", 0) == 1
         assert "Traceback" not in capsys.readouterr().err
         assert run_cli("run", tmp_path / "missing.hpd", "--out", out,
                        "--eps-star", 0.01, "--topology", "star", "--blocks", 2) == 1
@@ -520,6 +565,66 @@ class TestVerify:
         out, snaps = finished_run
         assert run_cli("verify", out, snaps, "--cap", 100) == 1
         assert "cap" in capsys.readouterr().err
+
+    def test_cap_refuses_a_loaded_csv(self, finished_run, tmp_path, capsys):
+        # a .csv has no header to read the size from, so it is refused once loaded
+        out, snaps = finished_run
+        csv = tmp_path / "snaps.csv"
+        np.savetxt(csv, read_matrix(snaps)[0], delimiter=",")
+        assert run_cli("verify", out, csv, "--cap", 100) == 1
+        assert "12000 entries exceed the cap of 100" in capsys.readouterr().err
+
+    def test_inflated_target_fails_the_root_bound(self, finished_run, capsys):
+        out, snaps = finished_run
+        path = out / "summary.txt"
+        path.write_text("".join(f"eps_star={10 * float(ln.partition('=')[2])!r}\n"
+                                if ln.startswith("eps_star=") else ln
+                                for ln in path.read_text().splitlines(True)))
+        assert run_cli("verify", out, snaps) == 2
+        assert "check root-mode-bound: FAIL" in capsys.readouterr().out
+
+    def test_leaf_above_its_flat_count_fails(self, finished_run, capsys):
+        out, snaps = finished_run
+        lines = (out / "report.tsv").read_text().splitlines()[1:]
+        leaf = next(ln.split("\t")[0] for ln in lines if ln.split("\t")[2] == "1")
+        # no flat POD keeps more modes than it has columns
+        edit_report(out / "report.tsv", leaf, output_mode_count=lambda r: int(r["input_count"]) + 1)
+        assert run_cli("verify", out, snaps) == 2
+        assert f"check node-mode-bounds: FAIL (node {leaf}: " in capsys.readouterr().out
+
+    def test_modes_with_other_weights_fail(self, finished_run, capsys):
+        out, snaps = finished_run
+        values, _ = read_matrix(out / "modes.hpd")
+        write_matrix(out / "modes.hpd", values, np.full(values.shape[0], 2.0))
+        assert run_cli("verify", out, snaps) == 2
+        assert "check weights: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("stated", [None, 0.0], ids=["report-epsilon", "report-epsilon-zero"])
+    def test_every_node_is_checked_at_the_rules_tolerance(self, tmp_path, capsys, stated):
+        # the report's local_epsilon is not the tolerance verify checks
+        snaps = tmp_path / "snaps.hpd"
+        assert run_cli("gen", "synthetic", "--rows", 80, "--cols", 300,
+                       "--decay-rate", 0.05, "-o", snaps) == 0
+        out = tmp_path / "res"
+        assert run_cli("run", snaps, "--out", out, "--eps-star", 0.01,
+                       "--topology", "balanced", "--block-size", 30) == 0
+        fields = {"output_mode_count": lambda r: r["input_count"]}
+        if stated is not None:
+            fields["local_epsilon"] = stated
+        edit_report(out / "report.tsv", 1, **fields)
+        capsys.readouterr()
+        assert run_cli("verify", out, snaps) == 2
+        text = capsys.readouterr().out
+        assert "check node-mode-bounds: FAIL (node 1: 119 modes exceed flat-POD count" in text
+
+    def test_passthrough_nodes_verify_at_omega_one(self, synthetic_file, tmp_path, capsys):
+        # at omega = 1 every node below the root has tolerance 0 and keeps
+        # all of its columns, as a flat POD at 0 does
+        out = tmp_path / "res"
+        assert run_cli("run", synthetic_file, "--out", out, "--eps-star", 0.01, "--omega", 1.0,
+                       "--topology", "chain", "--block-size", 60) == 0
+        assert run_cli("verify", out, synthetic_file) == 0
+        assert "check node-mode-bounds: PASS" in capsys.readouterr().out
 
 
 class TestBench:

@@ -184,6 +184,12 @@ class TestDistributeColumns:
         with pytest.raises(ValueError):
             distribute_columns(tree, block, block_size=4)  # 2 chunks, 3 leaves
 
+    def test_block_size_gives_a_zero_column_block_one_leaf(self):
+        block = SnapshotBlock(InnerProductSpace(3), np.zeros((3, 0)))
+        assert distribute_columns(build_chain(1), block, block_size=5).counts() == {0: 0}
+        with pytest.raises(ValueError):
+            distribute_columns(build_chain(2), block, block_size=5)
+
 
 class TestErrorBound:
     def test_star_frozen_value(self):
@@ -229,6 +235,11 @@ class TestActualMeanError:
         empty = pod(SnapshotBlock(block.space, np.zeros((5, 0))), 0.5)
         expected = float(np.sum(vals * vals)) / 3
         assert actual_mean_error(block, empty) == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_column_block_has_no_error(self):
+        rng = np.random.default_rng(8)
+        modes = pod(SnapshotBlock(InnerProductSpace(5), rng.standard_normal((5, 3))), 0.1)
+        assert actual_mean_error(SnapshotBlock(modes.space, np.zeros((5, 0))), modes) == 0.0
 
     def test_matches_column_loop_oracle(self):
         rng = np.random.default_rng(9)
@@ -630,7 +641,8 @@ class TestRightFactor:
 
     def test_merge_matches_block_diagonal_product(self):
         # each node hands back only its own right vectors, here with a child
-        # that kept no modes; the run stacks the block-diagonal product
+        # that kept no modes; the run stacks the block-diagonal product, in
+        # which a child that passes its columns through (psi None) is I
         rng = np.random.default_rng(43)
         space = InnerProductSpace(10, rng.uniform(0.5, 2.0, 10))
         tree = build_star(3)
@@ -648,14 +660,16 @@ class TestRightFactor:
                                          [kid for kid, _, _ in kids], True)
         assert psi is out.right
         assert psi.shape == (report.input_count, out.count)
-        ref = scipy.linalg.block_diag(*[own for _, own, _ in kids]) @ psi
+        ref = scipy.linalg.block_diag(*[np.eye(rep.input_count) if own is None else own
+                                        for _, own, rep in kids]) @ psi
         lhat = run_hapod(tree, leaves, tol, track_right_factor=True).right_factor
         assert lhat.shape == ref.shape == (18, out.count)
         assert np.allclose(lhat, ref, rtol=1e-12, atol=0.0)
 
     def test_each_node_returns_only_its_own_right_vectors(self, monkeypatch):
         # psi has one row per input column of the node, not one per
-        # snapshot below it
+        # snapshot below it; None is the identity of a node that passes its
+        # columns through
         block = synthetic_decay(30, 6 * 12, 0.1, seed=3)
         tree = build_chain(6)
         leaves = distribute_columns(tree, block, block_size=12)
@@ -664,7 +678,8 @@ class TestRightFactor:
 
         def record(*args, **kwargs):
             out, psi, report = real(*args, **kwargs)
-            shapes.append((psi.shape, (report.input_count, report.output_mode_count)))
+            shape = (report.input_count,) * 2 if psi is None else psi.shape
+            shapes.append((shape, (report.input_count, report.output_mode_count)))
             return out, psi, report
 
         monkeypatch.setattr(hapod.parallel, "evaluate_node", record)

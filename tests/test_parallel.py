@@ -371,6 +371,27 @@ class TestPooledSpread:
             assert caught.value.args == (0,)
             assert len(started) < 100
 
+    def test_a_panel_the_caller_took_over_fails_in_its_turn(self):
+        # one pool thread busy with panel 1 while the caller waits for it:
+        # the caller cancels queued panel 2, runs it itself, and its error
+        # is raised in panel 2's turn, after panels 0 and 1 were handed on
+        caller, ran_by, taken = threading.get_ident(), {}, []
+
+        def panel(p):
+            ran_by[p] = threading.get_ident()
+            if p == 1:
+                time.sleep(0.2)
+            if p == 2:
+                raise KeyError(p)
+            return p
+
+        with ThreadPoolExecutor(1) as pool:
+            with pytest.raises(KeyError) as caught:
+                _pooled_spread(pool, 2)(panel, 6, taken.append)
+        assert caught.value.args == (2,)
+        assert taken == [0, 1]
+        assert ran_by[2] == caller != ran_by[1]
+
     def test_a_full_window_holds_no_pool_thread(self):
         # one pool thread and one helper: the pool runs panel 1 while the
         # calling thread runs panel 0, so the window is full for as long as

@@ -82,6 +82,16 @@ class TestTruncationRank:
         with pytest.raises(ValueError):
             truncation_rank(np.array([1.0, 2.0]), 0.5)
 
+    @pytest.mark.parametrize("sigmas", [[2.0, np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]])
+    def test_rejects_nonfinite_sigmas(self, sigmas):
+        with pytest.raises(ValueError, match="finite"):
+            truncation_rank(np.array(sigmas), 0.1)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_nonfinite_epsilon(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            truncation_rank(np.array([2.0, 1.0]), eps)
+
 
 class TestGramian:
     def test_identity_columns(self):
@@ -217,6 +227,13 @@ class TestPodConventions:
         block = SnapshotBlock(euclid(2), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             pod(block, -1e-9)
+
+    @pytest.mark.parametrize("kind", ["gram", "svd"])
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_nonfinite_epsilon(self, kind, eps):
+        block = random_block(np.random.default_rng(3), 6, 4)
+        with pytest.raises(ValueError, match="finite"):
+            pod(block, eps, PodBackend(kind))
 
     def test_rejects_nonfinite_snapshots(self):
         bad = np.ones((3, 2))
@@ -880,6 +897,13 @@ class TestBlockGramianPod:
         assert out.count == prior.count + 2
         assert np.allclose(out.modes[:, :prior.count], prior.scaled())
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_nonfinite_epsilon(self, eps):
+        rng = np.random.default_rng(61)
+        prior = pod(random_block(rng, 5, 3), 0.2)
+        with pytest.raises(ValueError, match="finite"):
+            block_gramian_pod(prior, random_block(rng, 5, 2), eps)
+
     def test_rejects_space_mismatch(self):
         prior = pod(SnapshotBlock(euclid(3), np.eye(3)), 0.1)
         other = SnapshotBlock(InnerProductSpace(3, np.array([1.0, 2.0, 3.0])), np.eye(3))
@@ -925,6 +949,10 @@ class TestValidation:
     def test_space_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             InnerProductSpace(3, np.array([1.0, 0.0, 2.0]))
+
+    def test_spaces_of_other_dimensions_differ(self):
+        assert not euclid(3).same_as(euclid(4))
+        assert not InnerProductSpace(3, np.ones(3)).same_as(InnerProductSpace(4, np.ones(4)))
 
     def test_space_rejects_wrong_weight_shape(self):
         with pytest.raises(ValueError):
@@ -990,7 +1018,7 @@ class TestPassFull:
         assert np.array_equal(out.columns, block.values)
         assert np.array_equal(out.sigmas, np.ones(block.count))
         assert out.tail_energy == 0.0
-        assert np.array_equal(right, np.eye(block.count))
+        assert right is None  # the identity, never formed
 
     @pytest.mark.parametrize("panels", [1, 3])
     def test_below_smallest_sigma_passes_through(self, monkeypatch, panels):
