@@ -248,8 +248,7 @@ def cmd_run(args) -> int:
         ("apriori_error_bound", result.apriori_error_bound),
         ("mean_error", mean_error),
         ("mode_count", result.mode_count),
-        ("max_intermediate_modes", result.max_intermediate_modes(include_leaves=False)),
-        ("peak_resident_modes", stats.peak_resident_modes),
+        ("max_intermediate_modes", result.max_intermediate_modes()),
         ("critical_path_time", stats.critical_path_time),
         ("total_node_time", stats.total_node_time),
         ("wall_time", wall),
@@ -360,9 +359,10 @@ def cmd_verify(args) -> int:
     )
 
     root_oracle = _oracle_count(snapshots.values, space, eps[tree.root])
+    stated = next(int(r["output_mode_count"]) for r in report if int(r["node"]) == tree.root)
     checks.append(
-        ("root-mode-bound", mode_values.shape[1] <= root_oracle,
-         f"{mode_values.shape[1]} modes vs flat-POD count {root_oracle} at its budget")
+        ("root-mode-bound", stated == mode_values.shape[1] <= root_oracle,
+         f"{mode_values.shape[1]} modes, {stated} in {REPORT_FILE}, vs flat-POD count {root_oracle} at its budget")
     )
 
     worst = ""
@@ -398,23 +398,24 @@ def cmd_bench(args) -> int:
     if not sizes:
         raise ValueError("no sizes given")
     topologies = [t.strip() for t in args.topologies.split(",") if t.strip()]
-    rows = ["size\ttopology\tdepth\tblock\tseq_time\tcritical_path_time\tpeak_modes"]
+    rows = ["size\ttopology\tdepth\tblock\tseq_time\tcritical_path_time\tmode_count\tmax_node_input_cols"]
     for size in sizes:
         data = synthetic_decay(args.rows, size, args.decay_rate, args.seed)
         flat_eps = math.sqrt(size) * args.eps_star
         started = time.perf_counter()
         flat = pod(data, flat_eps, PodBackend("gram"))
         flat_time = time.perf_counter() - started
-        rows.append(f"{size}\tpod\t1\t{size}\t{flat_time!r}\t{flat_time!r}\t{flat.count}")
+        rows.append(f"{size}\tpod\t1\t{size}\t{flat_time!r}\t{flat_time!r}\t{flat.count}\t{size}")
         for name in topologies:
             tree = _pick_topology(name, size, block_size=args.block_size)
             leaves = distribute_columns(tree, data, block_size=args.block_size)
             tol = assign_tolerances(tree, leaves, args.eps_star, args.omega)
             started = time.perf_counter()
-            _, stats = run_parallel(tree, leaves, tol, PodBackend("gram"))
+            result, stats = run_parallel(tree, leaves, tol, PodBackend("gram"))
             seq_time = time.perf_counter() - started
+            widest = max(r.input_count for r in result.reports)
             rows.append(f"{size}\t{name}\t{derive_maps(tree).depth}\t{args.block_size}\t{seq_time!r}\t"
-                        f"{stats.critical_path_time!r}\t{stats.peak_resident_modes}")
+                        f"{stats.critical_path_time!r}\t{result.mode_count}\t{widest}")
     table = "\n".join(rows) + "\n"
     if args.output:
         Path(args.output).write_text(table)

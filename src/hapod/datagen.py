@@ -152,13 +152,15 @@ def synthetic_decay(d: int, m: int, decay_rate: float, seed: int = 0) -> Snapsho
         q, r = scipy.linalg.qr(g, mode="economic", overwrite_a=True, check_finite=False)
         signs = np.sign(np.diag(r))
         signs[signs == 0.0] = 1.0
-        return q * signs[None, :]
+        q *= signs
+        return q
 
     spectrum = np.exp(-decay_rate * np.arange(1, k + 1, dtype=np.float64))
     if max(d, m) < 2 * k:
         left = haar_frame(gaussian(d, seq_left))
+        left *= spectrum
         right = haar_frame(gaussian(m, seq_right))
-        return SnapshotBlock(InnerProductSpace(d), (left * spectrum[None, :]) @ right.T)
+        return SnapshotBlock(InnerProductSpace(d), left @ right.T)
     tall_seq, square_seq = (seq_left, seq_right) if d >= m else (seq_right, seq_left)
     g = gaussian(max(d, m), tall_seq)
     frame = haar_frame(gaussian(k, square_seq))

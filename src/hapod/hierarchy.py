@@ -114,14 +114,10 @@ class HapodResult:
                 return r
         raise KeyError(f"no report for node {node}")
 
-    def max_intermediate_modes(self, include_leaves: bool = False) -> int:
-        """Largest output mode count over the non-root nodes."""
-        counts = [
-            r.output_mode_count
-            for r in self.reports
-            if r.node != self.root_node and (include_leaves or not r.is_leaf)
-        ]
-        return max(counts, default=0)
+    def max_intermediate_modes(self) -> int:
+        """Largest output mode count over the interior nodes below the root."""
+        return max((r.output_mode_count for r in self.reports if not r.is_leaf and r.node != self.root_node),
+                   default=0)
 
 
 def _chunk_counts(m: int, block_size: int) -> list[int]:
@@ -390,11 +386,13 @@ class IncrementalSession:
         self._eps_sq = 0.0
         self._done = False
 
-    def _merge(self, node: int, fresh: SnapshotBlock) -> None:
-        """Fold fresh into the carried modes as the chain's node; the bottom
-        leaf, below the root, carries its block as it is (epsilon 0)."""
+    def _merge(self, node: int, fresh: SnapshotBlock, below=()) -> None:
+        """Fold fresh into the carried modes as the chain's node, after the reports `below`; the
+        bottom leaf, below the root, carries its block as it is (epsilon 0).  The session takes
+        the merged modes, the block's space and count and the reports only once the POD returns."""
         root, leaf = node == self.tree.root, not self.tree.children[node]
-        eps = 0.0 if leaf and not root else _tolerance(self._seen, self.target, self.omega, self.planned, root)
+        seen = self._seen + fresh.count
+        eps = 0.0 if leaf and not root else _tolerance(seen, self.target, self.omega, self.planned, root)
         prior = self._current
         started = time.perf_counter()
         if prior is None:
@@ -403,27 +401,25 @@ class IncrementalSession:
             merged = block_gramian_pod(prior, fresh, eps, self.backend)
         wall = time.perf_counter() - started
         input_count = fresh.count + (prior.count if prior is not None else 0)
-        self._current = merged
+        self._current, self._space, self._seen = merged, fresh.space, seen
         self._eps_sq += eps * eps
-        self._reports.append(_node_report(self.tree, self.maps, node, input_count, self._seen,
-                                          eps, merged, wall))
+        self._reports += [*below, _node_report(self.tree, self.maps, node, input_count, seen,
+                                               eps, merged, wall)]
 
     def push(self, block: SnapshotBlock) -> None:
+        """Fold one block into the session; a push that raises leaves it unchanged."""
         if self._done:
             raise SessionError("session already finalized")
         if self._pushed >= self.planned:
             raise SessionError(f"planned_block_count={self.planned} blocks already pushed")
-        if self._space is None:
-            self._space = block.space
-        elif not self._space.same_as(block.space):
+        if self._space is not None and not self._space.same_as(block.space):
             raise ValueError("pushed block lives in a different space than the first one")
-        self._seen += block.count
-        node = self.maps.leaf_order[self._pushed]
+        node, below = self.maps.leaf_order[self._pushed], []
         if self._pushed:
             # a later leaf hands its raw block to the merge node above it
-            self._reports.append(_node_report(self.tree, self.maps, node, block.count, block.count))
+            below.append(_node_report(self.tree, self.maps, node, block.count, block.count))
             node = self.maps.parent[node]
-        self._merge(node, block)
+        self._merge(node, block, below)
         self._pushed += 1
 
     def finalize(self) -> HapodResult:

@@ -28,23 +28,12 @@ __all__ = ["ExecStats", "run_parallel", "critical_path_time"]
 
 @dataclass(frozen=True, eq=False)
 class ExecStats:
-    """What one run_parallel call measured beyond its result.
-
+    """The timings of one run_parallel call, both read off its node reports:
     critical_path_time is the longest root-to-leaf sum of node wall times,
-    total_node_time the sum of all node wall times (both from the node
-    reports).  peak_resident_modes is the largest sum of the reports'
-    output mode counts over the node outputs held at once in this run,
-    counted when each node finishes and before its children's outputs are
-    released.  It counts columns, not bytes: a leaf's output below the root,
-    its columns A with a coefficient block R (see `evaluate_node`), holds no
-    column of its own, since A is a view of the leaf's input, yet counts its
-    width, and with several workers the count depends on the order in which
-    nodes happen to finish.
-    """
+    total_node_time the sum of all node wall times."""
 
     critical_path_time: float
     total_node_time: float
-    peak_resident_modes: int
 
 
 def critical_path_time(tree: RootedTree, reports) -> float:
@@ -86,6 +75,7 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
     are held until the root finishes; one walk down then makes each child's
     factor its psi (None: I, so a copy) times its rows of its parent's
     factor, as many as its output modes, and stacks the leaves' in leaf order.
+    Returns the result and the `ExecStats` of its reports.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be at least 1")
@@ -99,7 +89,6 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
     ready = sorted((rank[v], v) for v in maps.leaves)
     waiting = [len(kids) for kids in tree.children]
 
-    resident = peak = 0
     live: dict = {}
     psi: dict = {}
     reports: dict[int, NodeReport] = {}
@@ -122,11 +111,8 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
                     failures[v] = exc
                     continue
                 reports[v] = rep
-                resident += rep.output_mode_count
-                peak = max(peak, resident)
                 for c in tree.children[v]:
                     del live[c]
-                    resident -= reports[c].output_mode_count
                 parent = maps.parent[v]
                 if parent >= 0:
                     waiting[parent] -= 1
@@ -157,6 +143,5 @@ def run_parallel(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignm
     stats = ExecStats(
         critical_path_time=critical_path_time(tree, ordered),
         total_node_time=float(sum(r.wall_time for r in ordered)),
-        peak_resident_modes=peak,
     )
     return result, stats

@@ -240,6 +240,25 @@ class TestRun:
         assert (a / "sigmas.txt").read_bytes() == (b / "sigmas.txt").read_bytes()
         assert (a / "modes.hpd").read_bytes() == (b / "modes.hpd").read_bytes()
 
+    def test_records_do_not_depend_on_workers(self, tmp_path):
+        # a truncating chain, whose leaves run ahead of the merges on a second
+        # worker: only the worker count and the timings may differ
+        snaps = tmp_path / "chain.hpd"
+        assert run_cli("gen", "synthetic", "--rows", 200, "--cols", 2000, "--decay-rate", 0.03,
+                       "-o", snaps) == 0
+        timings = ("workers=", "critical_path_time=", "total_node_time=", "wall_time=")
+        records = set()
+        for i, workers in enumerate((1, 2, 1, 2)):
+            out = tmp_path / f"run{i}"
+            assert run_cli("run", snaps, "--out", out, "--eps-star", 1e-3, "--topology", "chain",
+                           "--block-size", 100, "--workers", workers) == 0
+            summary = tuple(ln for ln in (out / "summary.txt").read_text().splitlines()
+                            if not ln.startswith(timings))
+            rows = [ln.split("\t") for ln in (out / "report.tsv").read_text().splitlines()]
+            wall = rows[0].index("wall_time")
+            records.add((summary, tuple(tuple(r[:wall] + r[wall + 1:]) for r in rows)))
+        assert len(records) == 1
+
     def test_mean_error_does_not_depend_on_workers(self, tmp_path):
         # 40000 x 60 is 19.2 MB: the mean error runs over five row panels
         path = tmp_path / "tall.hpd"
@@ -354,7 +373,15 @@ class TestRun:
                        "--block-size", 10) == 1
         assert run_cli(*base, "--topology", "star", "--block-size", 0) == 1
         assert run_cli(*base, "--topology", "balanced", "--blocks", 0) == 1
-        assert "Traceback" not in capsys.readouterr().err
+        assert run_cli(*base, "--topology", "balanced:x", "--blocks", 3) == 1
+        empty = tmp_path / "empty.hpd"
+        write_matrix(empty, np.zeros((4, 0)))
+        assert run_cli("run", empty, "--out", out, "--eps-star", 0.01, "--topology", "star",
+                       "--blocks", 1) == 1
+        err = capsys.readouterr().err
+        assert "bad topology depth suffix in 'balanced:x'" in err
+        assert "empty.hpd: no snapshot columns" in err
+        assert "Traceback" not in err
         assert run_cli("run", tmp_path / "missing.hpd", "--out", out,
                        "--eps-star", 0.01, "--topology", "star", "--blocks", 2) == 1
         assert run_cli("frobnicate") == 1
@@ -529,6 +556,19 @@ class TestVerify:
         assert "report.tsv" in err and f"leaf {lines[leaf].split()[0]}" in err
         assert "Traceback" not in err
 
+    def test_leaf_range_out_of_place_exits_usage(self, finished_run, capsys):
+        # a range of the right width that does not start where the leaves
+        # before it end
+        out, snaps = finished_run
+        path = out / "report.tsv"
+        leaf = [ln.split("\t")[0] for ln in path.read_text().splitlines()[1:] if ln.split("\t")[2] == "1"][1]
+        edit_report(path, leaf, col_start=lambda r: int(r["col_start"]) + 1,
+                    col_end=lambda r: int(r["col_end"]) + 1)
+        assert run_cli("verify", out, snaps) == 1
+        err = capsys.readouterr().err
+        assert f"report.tsv: leaf {leaf} starts at column 31, but the leaves before it end at column 30" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key, value", [("omega", "nan"), ("omega", "5.0"), ("omega", "0.0"),
                                             ("eps_star", "-0.01"), ("eps_star", "abc")])
     def test_malformed_summary_exits_usage(self, finished_run, capsys, key, value):
@@ -583,6 +623,14 @@ class TestVerify:
         assert run_cli("verify", out, snaps) == 2
         assert "check root-mode-bound: FAIL" in capsys.readouterr().out
 
+    def test_root_row_must_match_the_modes(self, finished_run, capsys):
+        out, snaps = finished_run
+        kept = read_matrix_header(out / "modes.hpd")[1]
+        edit_report(out / "report.tsv", 0, output_mode_count=3)
+        assert run_cli("verify", out, snaps) == 2
+        assert f"check root-mode-bound: FAIL ({kept} modes, 3 in report.tsv, vs flat-POD count" \
+            in capsys.readouterr().out
+
     def test_leaf_above_its_flat_count_fails(self, finished_run, capsys):
         out, snaps = finished_run
         lines = (out / "report.tsv").read_text().splitlines()[1:]
@@ -635,11 +683,14 @@ class TestBench:
                        "--eps-star", 0.01, "-o", out)
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0].split("\t")[0] == "size"
+        assert lines[0].split("\t") == ["size", "topology", "depth", "block", "seq_time",
+                                        "critical_path_time", "mode_count", "max_node_input_cols"]
         # per size: one flat-pod row plus one per topology
         assert len(lines) == 1 + 2 * 3
-        kinds = {ln.split("\t")[1] for ln in lines[1:]}
-        assert kinds == {"pod", "balanced", "star"}
+        rows = [dict(zip(lines[0].split("\t"), ln.split("\t"))) for ln in lines[1:]]
+        assert {r["topology"] for r in rows} == {"pod", "balanced", "star"}
+        # flat POD takes the whole input in one node
+        assert all(r["max_node_input_cols"] == r["size"] for r in rows if r["topology"] == "pod")
 
     def test_zero_omega_exits_usage(self, capsys):
         # as for run: a root tolerance of 0 would hand back the raw columns
@@ -648,6 +699,10 @@ class TestBench:
         err = capsys.readouterr().err
         assert "--omega" in err
         assert "Traceback" not in err
+
+    def test_no_sizes_exits_usage(self, capsys):
+        assert run_cli("bench", "--sizes", ",") == 1
+        assert "error: no sizes given" in capsys.readouterr().err
 
     def test_zero_block_size_exits_usage(self, capsys):
         assert run_cli("bench", "--rows", 30, "--sizes", "90", "--block-size", 0) == 1

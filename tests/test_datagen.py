@@ -61,6 +61,8 @@ class TestBurgers:
         with pytest.raises(ValueError):
             BurgersConfig(grid_size=0)
         with pytest.raises(ValueError):
+            BurgersConfig(step_count=0)
+        with pytest.raises(ValueError):
             BurgersConfig(time_step=0.0)
         with pytest.raises(ValueError):
             BurgersConfig(spark_probability=1.5)
@@ -133,3 +135,14 @@ class TestSyntheticDecay:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * block.values.nbytes
+
+    def test_householder_route_scales_its_frames_in_place(self):
+        # below aspect ratio 2 both frames are Householder QRs; the signs and
+        # the spectrum go into them in place, not into scaled copies
+        tracemalloc.start()
+        try:
+            block = synthetic_decay(500, 500, 0.05, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * block.values.nbytes

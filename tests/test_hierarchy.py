@@ -1,6 +1,7 @@
 import importlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -372,6 +373,14 @@ class TestActualMeanError:
         with pytest.raises(ValueError):
             actual_mean_error(block, raw)
 
+    def test_rejects_other_spaces_and_no_workers(self):
+        block = SnapshotBlock(InnerProductSpace(3), np.eye(3))
+        modes = pod(block, 0.5)
+        with pytest.raises(ValueError, match="different spaces"):
+            actual_mean_error(SnapshotBlock(InnerProductSpace(3, np.full(3, 2.0)), np.eye(3)), modes)
+        with pytest.raises(ValueError, match="worker_count"):
+            actual_mean_error(block, modes, worker_count=0)
+
 
 class TestStackedInput:
     def test_interior_peak_below_the_stacked_input(self):
@@ -580,14 +589,17 @@ class TestRunHapod:
                                        for leaf in (1, 2, 3))
         assert root.output_mode_count == result.mode_count
         assert all(r.wall_time >= 0.0 for r in result.reports)
-        assert result.max_intermediate_modes(include_leaves=True) >= \
-            result.max_intermediate_modes()
+        assert result.report_for(2) == by_node[2]
+        with pytest.raises(KeyError, match="no report for node 4"):
+            result.report_for(4)
 
     def test_rejects_mismatched_inputs(self):
         rng = np.random.default_rng(29)
         tree, leaves, _ = star_case(rng, k=2, per_leaf=3)
         with pytest.raises(ValueError):
             run_hapod(tree, leaves, ToleranceAssignment((0.1, 0.1)))
+        with pytest.raises(ValueError, match="empty"):
+            LeafAssignment({})
         missing = LeafAssignment({1: leaves.blocks[1]})
         with pytest.raises(ValueError):
             run_hapod(tree, missing, ToleranceAssignment((0.1, 0.1, 0.1)))
@@ -923,6 +935,27 @@ class TestIncrementalSession:
         with pytest.raises(ValueError) as info:
             session.finalize()
         assert str(info.value) == str(chain.value) == "no snapshots anywhere in the tree"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_refused_push_leaves_the_session_unchanged(self):
+        # a block whose Gramian overflows is refused, and the session goes on
+        # as if it had never been pushed
+        rng = np.random.default_rng(61)
+        space = InnerProductSpace(20)
+        blocks = [SnapshotBlock(space, rng.standard_normal((20, 10))) for _ in range(3)]
+        clean, refused = (IncrementalSession(0.1, 0.75, planned_block_count=3) for _ in range(2))
+        clean.push(blocks[0])
+        refused.push(blocks[0])
+        with pytest.raises(np.linalg.LinAlgError, match="overflows"):
+            refused.push(SnapshotBlock(space, blocks[1].values * 1e160))
+        for b in blocks[1:]:
+            clean.push(b)
+            refused.push(b)
+        want, got = clean.finalize(), refused.finalize()
+        assert [replace(r, wall_time=0.0) for r in got.reports] == \
+            [replace(r, wall_time=0.0) for r in want.reports]
+        assert got.apriori_error_bound == want.apriori_error_bound
+        assert np.array_equal(got.modes.sigmas, want.modes.sigmas)
 
     def test_rejects_space_change_mid_stream(self):
         session = IncrementalSession(0.1, 0.5, planned_block_count=3)

@@ -101,6 +101,21 @@ class TestBinaryErrors:
         with pytest.raises(MatrixFormatError, match="version"):
             read_matrix(path)
 
+    def test_bad_weight_flag(self, tmp_path):
+        path = tmp_path / "f.hpd"
+        write_matrix(path, np.ones((2, 2)))
+        raw = bytearray(path.read_bytes())
+        raw[22] = 7  # the weight flag is the last byte of the 23-byte header
+        path.write_bytes(bytes(raw))
+        with pytest.raises(MatrixFormatError, match="weight flag 7"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("values, weights", [(np.ones(3), None), (np.ones((3, 2)), np.ones(2))],
+                             ids=["one-dimensional", "weights-of-other-length"])
+    def test_write_rejects_bad_shapes(self, tmp_path, values, weights):
+        with pytest.raises(ValueError, match="2-d|weights shape"):
+            write_matrix(tmp_path / "w.hpd", values, weights)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.hpd"
         write_matrix(path, np.ones((4, 4)))

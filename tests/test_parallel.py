@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 import hapod.hierarchy
 from hapod import (
     InnerProductSpace,
-    LeafAssignment,
     NodeReport,
     RootedTree,
     SnapshotBlock,
-    ToleranceAssignment,
     assign_tolerances,
     build_balanced,
     build_chain,
@@ -50,11 +48,10 @@ class TestRunParallel:
     def test_matches_sequential(self, workers):
         tree, leaves, tol = self.make_case()
         seq = run_hapod(tree, leaves, tol)
-        par, stats = run_parallel(tree, leaves, tol, worker_count=workers)
+        par, _ = run_parallel(tree, leaves, tol, worker_count=workers)
         assert par.mode_count == seq.mode_count
         assert np.allclose(par.modes.sigmas, seq.modes.sigmas, rtol=1e-12, atol=0)
         assert np.allclose(par.modes.modes, seq.modes.modes, rtol=1e-12, atol=1e-14)
-        assert stats.peak_resident_modes >= par.mode_count
 
     def test_right_factor_matches_sequential(self):
         rng = np.random.default_rng(11)
@@ -69,7 +66,6 @@ class TestRunParallel:
         tree, leaves, tol = self.make_case(k=6)
         result, stats = run_parallel(tree, leaves, tol, worker_count=2)
         assert stats.critical_path_time <= stats.total_node_time + 1e-12
-        assert stats.peak_resident_modes <= leaves.total_count + result.mode_count
         assert len(result.reports) == tree.node_count
 
     def test_rejects_zero_workers(self):
@@ -451,41 +447,6 @@ class TestCriticalPathTime:
         # a slower interior node moves the path into the other subtree
         reports[1] = replace(reports[1], wall_time=12.0)
         assert critical_path_time(tree, reports) == 14.0
-
-
-class TestPeakResidentModes:
-    def test_star_passthrough_counts(self):
-        # epsilon 0 everywhere: the leaves finish holding their raw columns
-        # (3 + 4), then the root finishes with all 7 while both children
-        # are still held
-        space = InnerProductSpace(5)
-        rng = np.random.default_rng(13)
-        tree = build_star(2)
-        leaves = LeafAssignment({
-            1: SnapshotBlock(space, rng.standard_normal((5, 3))),
-            2: SnapshotBlock(space, rng.standard_normal((5, 4))),
-        })
-        tol = ToleranceAssignment((0.0, 0.0, 0.0))
-        for workers in (1, 2):
-            _, stats = run_parallel(tree, leaves, tol, worker_count=workers)
-            assert stats.peak_resident_modes == 14
-
-    def test_chain_releases_between_waves(self):
-        # passthrough chain over blocks of 2, 3, 4 on one worker, in
-        # post-order: 2, 2 + 3, then the merge holds 5 + 5 and releases its
-        # leaves; the last leaf brings 5 + 4, and the root 9 + 9 = 18
-        space = InnerProductSpace(5)
-        rng = np.random.default_rng(17)
-        tree = build_chain(3)
-        maps = derive_maps(tree)
-        sizes = dict(zip(maps.leaf_order, (2, 3, 4)))
-        leaves = LeafAssignment({
-            leaf: SnapshotBlock(space, rng.standard_normal((5, sizes[leaf])))
-            for leaf in maps.leaf_order
-        })
-        tol = ToleranceAssignment((0.0,) * tree.node_count)
-        _, stats = run_parallel(tree, leaves, tol)
-        assert stats.peak_resident_modes == 18
 
 
 class TestMappedChainMemory:

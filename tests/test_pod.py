@@ -942,6 +942,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             ModeSet(euclid(2), np.array([1.0, 2.0]), np.eye(2))
 
+    def test_mode_set_rejects_a_shape_mismatch(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            ModeSet(euclid(3), np.array([2.0, 1.0]), np.eye(3))
+
     def test_mode_set_passthrough_requires_unit_sigmas(self):
         with pytest.raises(ValueError):
             ModeSet(euclid(2), np.array([2.0, 1.0]), np.eye(2), orthonormal=False)
@@ -957,10 +961,14 @@ class TestValidation:
     def test_space_rejects_wrong_weight_shape(self):
         with pytest.raises(ValueError):
             InnerProductSpace(3, np.ones(4))
+        with pytest.raises(ValueError, match="positive integer"):
+            InnerProductSpace(0)
 
     def test_block_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             SnapshotBlock(euclid(3), np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="2-d"):
+            SnapshotBlock(euclid(3), np.zeros(3))
 
     def test_caller_arrays_stay_writeable(self):
         w, values, fvalues = np.ones(3), np.ones((3, 2)), np.ones((3, 2), order="F")

@@ -114,6 +114,8 @@ class TestValidate:
             with pytest.raises(ValueError) as info:
                 derive_maps(tree)
             assert str(info.value) == f"invalid tree: {problem}"
+            with pytest.raises(ValueError, match="refusing to serialize"):
+                format_tree_text(tree)
 
 
 class TestDeriveMaps:
@@ -193,6 +195,10 @@ class TestDeriveMaps:
     def test_missing_leaf_count_raises(self):
         with pytest.raises(ValueError, match="leaf"):
             derive_maps(build_star(2), {1: 3})
+
+    def test_negative_leaf_count_raises(self):
+        with pytest.raises(ValueError, match="negative snapshot count at leaf 2"):
+            derive_maps(build_star(2), {1: 3, 2: -1})
 
 
 class TestBuilders:
@@ -305,6 +311,10 @@ class TestTextFormat:
     def test_parse_rejects_gap_in_ids(self):
         with pytest.raises(ValueError):
             parse_tree_text("0 2\n2\n")
+
+    def test_parse_rejects_empty_text(self):
+        with pytest.raises(ValueError, match="empty"):
+            parse_tree_text("\n  \n")
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
