@@ -6,9 +6,9 @@ this useful: the total squared projection error of the final modes against
 the original snapshots is at most the sum of the squared per-node tolerances,
 and the mode count at any node never exceeds what one flat POD of all
 subordinate snapshots at that node's tolerance would return.  With the
-tolerance rule implemented by `assign_tolerances`, a single scalar target
-controls the final mean error, and ``omega`` trades final basis size against
-the size of the intermediate decompositions.
+tolerance rule of `_tolerance`, a single scalar target controls the final
+mean error, and ``omega`` trades final basis size against the size of the
+intermediate decompositions.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class LeafAssignment:
 
     def counts(self) -> dict[int, int]:
         return {v: b.count for v, b in self.blocks.items()}
-
-    @property
-    def total_count(self) -> int:
-        return sum(b.count for b in self.blocks.values())
 
 
 @dataclass(frozen=True)
@@ -167,24 +163,28 @@ def _check_rule(omega: float, target: float = 1.0) -> float:
     return omega
 
 
-def _tolerance(count: int, target: float, omega: float, depth: int, is_root: bool) -> float:
+def _tolerance(count: int, target: float, omega: float, depth: int, is_root: bool,
+               passthrough_leaf: bool) -> float:
     """The tolerance rule for one node with `count` snapshots below it in a
-    tree of `depth` levels."""
+    tree of `depth` levels; a leaf below the root that passes its block
+    through gets 0, and the one node of a one-node tree is its root."""
     if is_root:
         return math.sqrt(count) * omega * target
+    if passthrough_leaf:
+        return 0.0
     return math.sqrt(count) * math.sqrt(1.0 - omega * omega) / math.sqrt(depth - 1) * target
 
 
 def assign_tolerances(tree: RootedTree, leaf_counts, target: float, omega: float = 0.75,
                       zero_leaf_tolerance: bool = False) -> ToleranceAssignment:
-    """Per-node tolerances that certify a mean squared projection error <= target**2.
+    """Per-node tolerances (`_tolerance`) that certify a mean squared error <= target**2.
 
-    The root receives sqrt(total) * omega * target, omega in (0, 1] (see
-    `_check_rule`); every other node alpha receives sqrt(count below alpha) *
-    sqrt(1 - omega**2) / sqrt(depth - 1) * target.  omega near 1 shrinks the
-    final basis at the price of fatter intermediate PODs, omega near 0 the
-    reverse.  zero_leaf_tolerance switches the leaves to epsilon = 0 (pure
-    passthrough), the usual choice for incremental processing.
+    The root gets sqrt(total) * omega * target, omega in (0, 1] (see
+    `_check_rule`), also in a one-node tree; every other node alpha gets
+    sqrt(count below alpha) * sqrt(1 - omega**2) / sqrt(depth - 1) * target.
+    omega near 1 shrinks the final basis at the price of fatter intermediate
+    PODs.  zero_leaf_tolerance gives the leaves below the root epsilon = 0
+    (passthrough), the usual choice for incremental processing.
 
     leaf_counts may be a LeafAssignment or a mapping leaf id -> column count.
     """
@@ -194,15 +194,9 @@ def assign_tolerances(tree: RootedTree, leaf_counts, target: float, omega: float
     maps = derive_maps(tree, leaf_counts)
     if maps.subordinate_leaf_counts[tree.root] == 0:
         raise ValueError("no snapshots anywhere in the tree")
-    if maps.depth < 2 and omega < 1.0:
-        raise ValueError(
-            "a depth-1 tree leaves no non-root budget to spend; use omega = 1 or a deeper tree"
-        )
-    eps = [
-        0.0 if zero_leaf_tolerance and not tree.children[v] and v != tree.root
-        else _tolerance(maps.subordinate_leaf_counts[v], target, omega, maps.depth, v == tree.root)
-        for v in range(tree.node_count)
-    ]
+    eps = [_tolerance(maps.subordinate_leaf_counts[v], target, omega, maps.depth, v == tree.root,
+                      zero_leaf_tolerance and not tree.children[v])
+           for v in range(tree.node_count)]
     return ToleranceAssignment(tuple(eps))
 
 
@@ -356,11 +350,11 @@ def run_hapod(tree: RootedTree, leaves: LeafAssignment, tol: ToleranceAssignment
 class IncrementalSession:
     """Single-pass chain compression: push blocks one at a time, finalize once.
 
-    Equivalent to run_hapod over build_chain(planned_block_count) with leaf
-    tolerances zero and the merge/root tolerances of `assign_tolerances`, but
-    never holds more than the current modes plus one fresh block.  Each merge
-    is the same POD of the stacked scaled modes and fresh columns that the
-    chain run's merge node performs.
+    Equivalent to run_hapod over build_chain(planned_block_count) with the
+    `_tolerance` of `assign_tolerances(..., zero_leaf_tolerance=True)`, one
+    planned block included, but never holds more than the current modes plus
+    one fresh block.  Each merge is the same POD of the stacked scaled modes
+    and fresh columns that the chain run's merge node performs.
 
     The planned block count is part of the tolerance rule (the per-merge
     budget divides by sqrt(planned - 1)), so it must be fixed up front.
@@ -383,7 +377,6 @@ class IncrementalSession:
         self._current: ModeSet | None = None
         self._space: InnerProductSpace | None = None
         self._reports: list[NodeReport] = []
-        self._eps_sq = 0.0
         self._done = False
 
     def _merge(self, node: int, fresh: SnapshotBlock, below=()) -> None:
@@ -392,7 +385,7 @@ class IncrementalSession:
         the merged modes, the block's space and count and the reports only once the POD returns."""
         root, leaf = node == self.tree.root, not self.tree.children[node]
         seen = self._seen + fresh.count
-        eps = 0.0 if leaf and not root else _tolerance(seen, self.target, self.omega, self.planned, root)
+        eps = _tolerance(seen, self.target, self.omega, self.planned, root, leaf)
         prior = self._current
         started = time.perf_counter()
         if prior is None:
@@ -402,7 +395,6 @@ class IncrementalSession:
         wall = time.perf_counter() - started
         input_count = fresh.count + (prior.count if prior is not None else 0)
         self._current, self._space, self._seen = merged, fresh.space, seen
-        self._eps_sq += eps * eps
         self._reports += [*below, _node_report(self.tree, self.maps, node, input_count, seen,
                                                eps, merged, wall)]
 
@@ -436,7 +428,7 @@ class IncrementalSession:
                         SnapshotBlock(self._space, np.zeros((self._space.dimension, 0))))
         return HapodResult(
             modes=self._current,
-            apriori_error_bound=math.sqrt(self._eps_sq),
+            apriori_error_bound=math.sqrt(sum(r.local_epsilon * r.local_epsilon for r in self._reports)),
             reports=tuple(self._reports),
             root_node=self.tree.root,
         )

@@ -388,12 +388,14 @@ def gramian(block: SnapshotBlock) -> np.ndarray:
     """The m x m matrix of pairwise snapshot inner products, exactly symmetric.
     Unweighted, it is S^T S of one operand BLAS can read, which NumPy hands to
     syrk: one triangle is computed and mirrored.  A weighted S^T (W S) is a
-    general product, explicitly symmetrized."""
-    if block.space.weights is None:
-        v = _blas_ready(block.values)
-        return v.T @ v
-    g = block.space.gram(block.values, block.values)
-    g = g + g.T
+    general product, explicitly symmetrized.  Entries too large to square
+    give a non-finite Gramian without a warning; the caller refuses it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if block.space.weights is None:
+            v = _blas_ready(block.values)
+            return v.T @ v
+        g = block.space.gram(block.values, block.values)
+        g = g + g.T
     g *= 0.5
     return g
 
@@ -704,7 +706,8 @@ def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool = F
         if g is None:
             g = part
         else:
-            g += part
+            with np.errstate(over="ignore", invalid="ignore"):  # the trace refuses an overflow
+                g += part
 
     spread(lambda p: gramian(panel(p)), len(panels), add)
     total = float(np.trace(g))

@@ -199,6 +199,21 @@ class TestRun:
         assert sigmas.size == ref.count
         assert np.allclose(sigmas, ref.sigmas, rtol=1e-12)
 
+    def test_one_block_chain_runs_at_the_default_omega(self, synthetic_file, tmp_path, capsys):
+        # a one-node tree is its root and keeps omega * eps* of the budget
+        import math
+        from hapod import pod
+        from hapod.io import load_snapshots
+
+        out = tmp_path / "res"
+        assert run_cli("run", synthetic_file, "--out", out, "--eps-star", 0.01,
+                       "--topology", "chain", "--blocks", 1) == 0
+        block = load_snapshots(synthetic_file)
+        ref = pod(block, math.sqrt(block.count) * 0.75 * 0.01)
+        assert np.array_equal(read_floats(out / "sigmas.txt"), ref.sigmas)
+        assert run_cli("verify", out, synthetic_file) == 0
+        assert "verification passed" in capsys.readouterr().out
+
     def test_track_right_factor_output(self, synthetic_file, tmp_path):
         out = tmp_path / "rf"
         code = run_cli("run", synthetic_file, "--out", out, "--eps-star", 0.05,
@@ -289,7 +304,6 @@ class TestRun:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_gramian_exits_numerics(self, tmp_path, capsys):
         # finite entries whose squares overflow: a numerical failure, caught
         # before any solver sees the infinite Gramian
@@ -691,6 +705,14 @@ class TestBench:
         assert {r["topology"] for r in rows} == {"pod", "balanced", "star"}
         # flat POD takes the whole input in one node
         assert all(r["max_node_input_cols"] == r["size"] for r in rows if r["topology"] == "pod")
+
+    def test_one_block_chain(self, tmp_path):
+        # a block size of at least the size makes a one-node chain
+        out = tmp_path / "bench.tsv"
+        assert run_cli("bench", "--rows", 30, "--sizes", 60, "--block-size", 80,
+                       "--topologies", "chain", "--eps-star", 0.01, "-o", out) == 0
+        rows = [ln.split("\t") for ln in out.read_text().strip().splitlines()[1:]]
+        assert [(r[1], r[2], r[-1]) for r in rows] == [("pod", "1", "60"), ("chain", "1", "60")]
 
     def test_zero_omega_exits_usage(self, capsys):
         # as for run: a root tolerance of 0 would hand back the raw columns

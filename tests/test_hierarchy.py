@@ -101,10 +101,11 @@ class TestAssignTolerances:
             if tree.children[v]:
                 assert tol.epsilons[v] > 0.0
 
-    def test_single_node_needs_omega_one(self):
+    def test_single_node_gets_the_root_share(self):
+        # a one-node tree is its root: omega * target of the budget, at any omega
         tree = RootedTree(((),), 0)
-        with pytest.raises(ValueError, match="omega"):
-            assign_tolerances(tree, {0: 10}, 0.1, omega=0.75)
+        tol = assign_tolerances(tree, {0: 10}, 0.1, omega=0.75)
+        assert tol.epsilons[0] == pytest.approx(0.75 * math.sqrt(10) * 0.1)
         tol = assign_tolerances(tree, {0: 10}, 0.1, omega=1.0)
         assert tol.epsilons[0] == pytest.approx(math.sqrt(10) * 0.1)
 
@@ -834,6 +835,23 @@ class TestIncrementalSession:
         assert result.mode_count == ref.count
         assert np.allclose(result.modes.sigmas, ref.sigmas, rtol=1e-12)
 
+    def test_single_block_matches_one_node_chain_run(self):
+        # one tolerance rule: the session and assign_tolerances give a
+        # one-node chain the same root tolerance, hence the same result
+        block = SnapshotBlock(InnerProductSpace(9), np.random.default_rng(43).standard_normal((9, 14)))
+        session = IncrementalSession(0.2, 0.75, planned_block_count=1)
+        session.push(block)
+        inc = session.finalize()
+        tree = build_chain(1)
+        assignment = LeafAssignment({tree.root: block})
+        tol = assign_tolerances(tree, assignment, 0.2, 0.75, zero_leaf_tolerance=True)
+        ref = run_hapod(tree, assignment, tol)
+        assert [replace(r, wall_time=0.0) for r in inc.reports] == \
+            [replace(r, wall_time=0.0) for r in ref.reports]
+        assert [r.local_epsilon for r in inc.reports] == list(tol.epsilons)
+        assert inc.apriori_error_bound == ref.apriori_error_bound
+        assert np.array_equal(inc.modes.sigmas, ref.modes.sigmas)
+
     @pytest.mark.parametrize("counts", [(6, 3, 8, 5), (4, 0, 7, 2)])
     def test_matches_chain_run(self, counts):
         rng = np.random.default_rng(47)
@@ -936,7 +954,6 @@ class TestIncrementalSession:
             session.finalize()
         assert str(info.value) == str(chain.value) == "no snapshots anywhere in the tree"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_refused_push_leaves_the_session_unchanged(self):
         # a block whose Gramian overflows is refused, and the session goes on
         # as if it had never been pushed

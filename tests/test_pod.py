@@ -146,6 +146,15 @@ class TestGramian:
         assert np.array_equal(g, g.T)
         assert np.array_equal(g, (h + h.T) * 0.5)
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_overflow_is_refused_without_a_warning(self, weighted):
+        # squares beyond the float range: the products and the sum of the
+        # panels stay silent, and pod's trace check reports the overflow
+        space = InnerProductSpace(30, np.full(30, 2.0) if weighted else None)
+        block = SnapshotBlock(space, 1e160 * np.random.default_rng(3).standard_normal((30, 40)))
+        with pytest.raises(np.linalg.LinAlgError, match="Gramian overflows"):
+            pod(block, 0.1, PodBackend("gram"))
+
 
 class TestPodAgainstDenseSvd:
     @pytest.mark.parametrize("kind", ["gram", "svd"])
