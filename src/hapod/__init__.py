@@ -11,6 +11,7 @@ from .hierarchy import (
     ToleranceAssignment,
     actual_mean_error,
     assign_tolerances,
+    certified_squared_error,
     distribute_columns,
     error_bound,
     run_hapod,
@@ -63,6 +64,7 @@ __all__ = [
     "build_chain",
     "build_star",
     "burgers_snapshots",
+    "certified_squared_error",
     "critical_path_time",
     "derive_maps",
     "distribute_columns",

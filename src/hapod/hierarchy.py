@@ -8,7 +8,9 @@ and the mode count at any node never exceeds what one flat POD of all
 subordinate snapshots at that node's tolerance would return.  With the
 tolerance rule of `_tolerance`, a single scalar target controls the final
 mean error, and ``omega`` trades final basis size against the size of the
-intermediate decompositions.
+intermediate decompositions.  After a run, the tails the nodes actually
+discarded, with an allowance for each node's rounding, certify the error
+without another pass over the snapshots (`certified_squared_error`).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "assign_tolerances",
     "distribute_columns",
     "error_bound",
+    "certified_squared_error",
     "actual_mean_error",
     "run_hapod",
     "IncrementalSession",
@@ -78,6 +81,8 @@ class LeafAssignment:
 
 @dataclass(frozen=True)
 class NodeReport:
+    """One node's run; its tail and ``input_energy`` are its output's (`ModeSet`)."""
+
     node: int
     level: int
     is_leaf: bool
@@ -87,6 +92,7 @@ class NodeReport:
     output_mode_count: int
     discarded_tail_energy: float
     wall_time: float
+    input_energy: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +109,12 @@ class HapodResult:
     @property
     def mode_count(self) -> int:
         return self.modes.count
+
+    @property
+    def aposteriori_error_bound(self) -> float:
+        """sqrt(`certified_squared_error`) of the reports: a bound on the
+        total squared projection error, from the tails the nodes discarded."""
+        return math.sqrt(certified_squared_error(self.reports))
 
     def report_for(self, node: int) -> NodeReport:
         for r in self.reports:
@@ -217,6 +229,16 @@ def error_bound(tree: RootedTree, tol: ToleranceAssignment, node: int | None = N
     return math.sqrt(sum(tol.epsilons[u] ** 2 for u in below))
 
 
+def certified_squared_error(reports) -> float:
+    """The certified total squared projection error of a tree's output: the
+    paper's induction bounds it by the summed tails of the reports, to which
+    each node adds u * m_alpha * ||S_alpha||^2_W, the rounding allowance of a
+    POD of m_alpha = ``input_count`` columns of energy ``input_energy`` (u
+    the float64 machine epsilon; 0 for a node that decomposed nothing)."""
+    u = float(np.finfo(np.float64).eps)
+    return sum(r.discarded_tail_energy + u * r.input_count * r.input_energy for r in reports)
+
+
 def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet, worker_count: int = 1) -> float:
     """Measured (1/m) * sum_j ||s_j - P s_j||^2 with P the orthogonal projection
     onto the k modes U, over the row panels of `pod` (`_row_panels`).  Each
@@ -289,6 +311,7 @@ def _node_report(tree: RootedTree, maps: TreeMaps, node: int, input_count: int,
         output_mode_count=input_count if out is None else out.count,
         discarded_tail_energy=0.0 if out is None else out.tail_energy,
         wall_time=wall,
+        input_energy=0.0 if out is None else out.input_energy,
     )
 
 

@@ -46,13 +46,13 @@ def write_matrix(path, values: np.ndarray, weights: np.ndarray | None = None) ->
     if values.ndim != 2:
         raise ValueError(f"matrix must be 2-d, got shape {values.shape}")
     rows, cols = values.shape
-    flag = 0 if weights is None else 1
+    # checked before the file is opened, so a refused call leaves it as it was
+    w = None if weights is None else np.asarray(weights, dtype="<f8")
+    if w is not None and w.shape != (rows,):
+        raise ValueError(f"weights shape {w.shape} does not match {rows} rows")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, rows, cols, flag))
-        if weights is not None:
-            w = np.asarray(weights, dtype="<f8")
-            if w.shape != (rows,):
-                raise ValueError(f"weights shape {w.shape} does not match {rows} rows")
+        fh.write(_HEADER.pack(MAGIC, VERSION, rows, cols, int(w is not None)))
+        if w is not None:
             fh.write(w.tobytes())
         # a column chunk at a time: the whole payload is never copied
         step = max(1, _WRITE_BYTES // (8 * max(rows, 1)))

@@ -27,8 +27,8 @@ results, in panel order (`_pooled_spread`).  Any other node runs its panels
 on its own thread.  A block of one panel takes exactly the unpanelled route.
 The mean-error pass of `hapod.hierarchy` runs over the same row panels, so
 each data pass holds about one `BATCH_BYTES` piece per worker.
-A node below the root hands its parent one record (A, R, sigma, tail),
-`_NodeOutput`, whose scaled modes sigma phi are A R: R is None for raw
+A node below the root hands its parent one record (A, R, sigma, tail,
+energy), `_NodeOutput`, whose scaled modes sigma phi are A R: R is None for raw
 columns A, the sigmas for orthonormal modes A, or the k right vectors psi of
 a truncating tall leaf, A its own columns, whose product A psi is never
 formed (`_leaf_step`).  The parent stacks the parts (A, R)
@@ -289,10 +289,12 @@ class ModeSet:
 
     ``orthonormal=False`` marks the epsilon = 0 passthrough convention: the
     columns are raw snapshots, all sigmas are exactly one and nothing was
-    decomposed.  ``tail_energy`` is the energy discarded by truncation,
-    ``right`` optionally carries the matching right singular vectors (m x N,
-    orthonormal columns in the Euclidean sense).  Its arrays are read-only
-    views of the caller's, as in `SnapshotBlock`.
+    decomposed.  ``tail_energy`` is the energy discarded by truncation, as
+    certified by the route (`_gram_tail`), ``right`` optionally carries the
+    matching right singular vectors (m x N, orthonormal columns in the
+    Euclidean sense), and ``input_energy`` is the block's energy ||S||^2_W
+    that the POD measured, 0 when nothing was decomposed.  Its arrays are
+    read-only views of the caller's, as in `SnapshotBlock`.
     """
 
     space: InnerProductSpace
@@ -301,6 +303,7 @@ class ModeSet:
     orthonormal: bool = True
     tail_energy: float = 0.0
     right: np.ndarray | None = field(default=None, repr=False)
+    input_energy: float = 0.0
 
     def __post_init__(self):
         s = _valid_sigmas(self.sigmas)
@@ -329,12 +332,14 @@ class _NodeOutput(NamedTuple):
     `SnapshotBlock._stack`.  ``coef`` is None for raw columns (unit sigmas),
     the sigmas for orthonormal modes, or the k right vectors psi (m x k,
     orthonormal) of a leaf whose ``columns`` are its own block values, a view
-    of the caller's array.  ``sigmas`` and ``tail_energy`` are as in `ModeSet`."""
+    of the caller's array.  ``sigmas``, ``tail_energy`` and ``input_energy``
+    are as in `ModeSet`."""
 
     columns: np.ndarray
     coef: np.ndarray | None
     sigmas: np.ndarray
     tail_energy: float
+    input_energy: float = 0.0
 
     @property
     def count(self) -> int:
@@ -343,7 +348,8 @@ class _NodeOutput(NamedTuple):
 
 def _scaled(out: ModeSet) -> _NodeOutput:
     """A `ModeSet` as the record a parent stacks: R the sigmas, None for raw columns."""
-    return _NodeOutput(out.modes, out.sigmas if out.orthonormal else None, out.sigmas, out.tail_energy)
+    return _NodeOutput(out.modes, out.sigmas if out.orthonormal else None, out.sigmas, out.tail_energy,
+                       out.input_energy)
 
 
 @dataclass(frozen=True)
@@ -359,7 +365,8 @@ class PodBackend:
     factor applies to the singular values themselves: sigma below
     ``DEFAULT_GRAM_CUTOFF * sigma_max * m`` is dropped.  That drops far
     less energy than the Gramian floor, so the svd kind keeps the tail bound
-    at tolerances too small for the gram kind to resolve.
+    at tolerances too small for the gram kind to resolve; a gram truncation
+    that cannot certify its tail is redone on it (`_gram_tail`).
     """
 
     kind: str = "gram"
@@ -460,6 +467,18 @@ def _truncation(lam, epsilon, total, m):
     if rank == 0 and total * (1.0 + DEFAULT_GRAM_CUTOFF * m) > epsilon * epsilon:
         rank = 1
     return sig[:rank], float(np.sum(lam[rank:]))
+
+
+def _gram_tail(sig, epsilon, total, m):
+    """The tail a "gram" truncation of m columns certifies: the measured
+    energy total less the kept sigma^2, clipped at 0.  None when the route
+    cannot certify its budget, so the node is redone on "svd": when that tail
+    exceeds epsilon^2, or the route's own floor DEFAULT_GRAM_CUTOFF * m *
+    total does, below which eigenvalues it dropped may sum past the budget."""
+    tail = total - float(np.sum(sig * sig))
+    if max(tail, DEFAULT_GRAM_CUTOFF * m * total) > epsilon * epsilon:
+        return None
+    return max(tail, 0.0)
 
 
 def _descending_eigh(g: np.ndarray, factor: float):
@@ -615,6 +634,8 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     -------
     ModeSet
         Modes orthonormal in the block's inner product, sigmas descending.
+        A "gram" truncation whose tail `_gram_tail` cannot certify is redone
+        once on "svd", so every reported tail bounds what was discarded.
     """
     _valid_epsilon(epsilon)
     backend = backend or PodBackend()
@@ -623,7 +644,7 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     if epsilon == 0.0:
         return ModeSet(space, np.ones(m), block.values, orthonormal=False,
                        right=np.eye(m) if want_right else None)
-    lam = np.zeros(0)
+    lam, total = np.zeros(0), 0.0
     if m and backend.kind == "svd":
         a = space.weigh(_panel(block, 0, d).values)
         total = float(np.vdot(a, a))
@@ -635,10 +656,15 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
         lam = s * s
     elif m:
         lam, vectors, total, product = _gram_step(block, epsilon, spread)
+    sig, tail = _truncation(lam, epsilon, total, m)
+    if backend.kind == "gram":
+        tail = _gram_tail(sig, epsilon, total, m)
+        if tail is None:
+            return pod(block, epsilon, PodBackend("svd"), want_right, spread)
     if not lam.size:
         # right keeps one row per input column so stacked factors stay aligned
-        return ModeSet(space, lam, np.zeros((d, 0)), right=np.zeros((m, 0)) if want_right else None)
-    sig, tail = _truncation(lam, epsilon, total, m)
+        return ModeSet(space, lam, np.zeros((d, 0)), tail_energy=tail,
+                       right=np.zeros((m, 0)) if want_right else None, input_energy=total)
     k = sig.size
     if backend.kind == "svd":
         modes, right = space.unweigh(u[:, :k]), vt[:k].T
@@ -651,16 +677,16 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
             modes, right = space.unweigh(psi), product(coef) if want_right else None
     modes, right = _finish_modes(modes, right if want_right else None, space,
                                  drifts=backend.kind == "gram" and m <= d, owned=True)
-    return ModeSet(space, sig, modes, tail_energy=tail, right=right)
+    return ModeSet(space, sig, modes, tail_energy=tail, right=right, input_energy=total)
 
 
 def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool = False):
     """The "gram" route of `pod` on a block of m > 0 columns, stopped before
-    assembly.  With `pass_full`, on a tall block, returns None when every
-    eigenvalue of G exceeds epsilon^2 (see `_leaf_step`); otherwise (lam,
-    vectors, total, product): the eigenvalues above the noise floor and
-    ``vectors(n)`` of the solve, the energy measured from the Gramian, and
-    ``product(coef)``, X @ coef assembled over the row panels of X."""
+    assembly: (lam, vectors, total, product), the eigenvalues above the noise
+    floor and ``vectors(n)`` of the solve, the energy measured from the
+    Gramian, and ``product(coef)``, X @ coef assembled over the row panels of
+    X.  With `pass_full`, on a tall block, lam is None, and nothing is
+    solved, when every eigenvalue of G exceeds epsilon^2 (see `_leaf_step`)."""
     space = block.space
     m, d = block.count, space.dimension
     wide = m > d
@@ -720,7 +746,7 @@ def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool = F
         except np.linalg.LinAlgError:
             pass
         else:
-            return None
+            return None, None, total, None
     lam, vectors = (_descending_eigh if wide else _range_eigh)(g, DEFAULT_GRAM_CUTOFF * m)
     del g
 
@@ -749,21 +775,25 @@ def _leaf_step(block: SnapshotBlock, epsilon: float, backend: PodBackend | None,
     """The `_NodeOutput` of a leaf whose output only its parent reads, and its
     right vectors if wanted, None for I.  On the tall "gram" route, when a
     Cholesky of G - epsilon^2 I succeeds, truncation would keep every column,
-    so the leaf takes `pod`'s epsilon = 0 passthrough: its raw columns with
-    unit sigmas.  A tall "gram" block that truncates stops after its
-    eigensolve: its own columns S with its k right vectors psi, whose product
-    S psi is the scaled modes sigma phi the parent stacks, so no d x k modes
-    are formed, mended or sign-fixed.  Any other leaf is `pod`'s."""
+    so the leaf takes `pod`'s epsilon = 0 passthrough, its raw columns with
+    unit sigmas, but reports the energy it measured.  A tall "gram" block
+    whose truncation `_gram_tail` certifies stops after its eigensolve: its
+    own columns S with its k right vectors psi, whose product S psi is the
+    scaled modes sigma phi the parent stacks, so no d x k modes are formed,
+    mended or sign-fixed; one it cannot certify is redone on "svd".  Any
+    other leaf is `pod`'s."""
     m = block.count
     if epsilon > 0.0 and (backend or PodBackend()).kind == "gram" and 0 < m <= block.space.dimension:
-        step = _gram_step(block, epsilon, spread, pass_full=True)
-        if step is not None:
-            lam, vectors, total, _ = step
-            sig, tail = _truncation(lam, epsilon, total, m)
+        lam, vectors, total, _ = _gram_step(block, epsilon, spread, pass_full=True)
+        if lam is None:  # truncation would keep every column
+            return _scaled(pod(block, 0.0))._replace(input_energy=total), None
+        sig, _ = _truncation(lam, epsilon, total, m)
+        tail = _gram_tail(sig, epsilon, total, m)
+        if tail is not None:
             # a contiguous copy: BLAS takes no reversed eigenvector columns
             psi = _read_only(np.ascontiguousarray(vectors(sig.size)))
-            return _NodeOutput(block.values, psi, sig, tail), psi if want_right else None
-        epsilon = 0.0  # truncation would keep every column
+            return _NodeOutput(block.values, psi, sig, tail, total), psi if want_right else None
+        backend = PodBackend("svd")
     out = pod(block, epsilon, backend, want_right and epsilon > 0.0, spread)
     return _scaled(out), out.right
 

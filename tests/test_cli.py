@@ -105,7 +105,7 @@ class TestRun:
         for name in ("modes.hpd", "sigmas.txt", "report.tsv", "summary.txt", "tree.txt"):
             assert (out / name).exists()
         summary = read_kv(out / "summary.txt")
-        assert float(summary["mean_error"]) <= 0.01 ** 2
+        assert float(summary["certified_mean_error"]) <= 0.01 ** 2
         assert int(summary["blocks"]) == 10
         assert int(summary["depth"]) == 3
         sigmas = read_floats(out / "sigmas.txt")
@@ -274,8 +274,9 @@ class TestRun:
             records.add((summary, tuple(tuple(r[:wall] + r[wall + 1:]) for r in rows)))
         assert len(records) == 1
 
-    def test_mean_error_does_not_depend_on_workers(self, tmp_path):
-        # 40000 x 60 is 19.2 MB: the mean error runs over five row panels
+    def test_certified_mean_error_does_not_depend_on_workers(self, tmp_path):
+        # 40000 x 20 leaves are 6.4 MB each: their Gramians, which measure the
+        # energies the certificate adds up, run over two row panels
         path = tmp_path / "tall.hpd"
         write_matrix(path, synthetic_decay(40000, 60, 0.1, 3).values)
         lines = []
@@ -284,7 +285,7 @@ class TestRun:
             assert run_cli("run", path, "--out", out, "--eps-star", 0.01, "--topology", "star",
                            "--block-size", 20, "--workers", workers) == 0
             lines.append([ln for ln in (out / "summary.txt").read_text().splitlines()
-                          if ln.startswith("mean_error=")])
+                          if ln.startswith("certified_mean_error=")])
         assert len(lines[0]) == 1
         assert lines[0] == lines[1]
 
@@ -346,10 +347,30 @@ class TestRun:
         assert "> target 0.0001 (rounding floor u*||S||^2/m = " in said.out
         assert "Traceback" not in said.err
         summary = read_kv(out / "summary.txt")
-        assert float(summary["mean_error"]) > 1e-4
+        assert float(summary["certified_mean_error"]) > 1e-4
         # the outputs stay for verify, which names the miss
         assert run_cli("verify", out, path) == 2
         assert "check mean-error: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scale, code", [(1.0, 0), (1e150, 3)], ids=["met", "missed"])
+    def test_no_pass_over_the_input_after_the_tree(self, tmp_path, monkeypatch, capsys, scale, code):
+        # the node tails certify the error, so run never measures it, on the
+        # success path and on the failure path alike
+        import hapod.cli
+        import hapod.hierarchy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run measured the mean error")
+
+        monkeypatch.setattr(hapod.hierarchy, "actual_mean_error", refuse)
+        monkeypatch.setattr(hapod.cli, "actual_mean_error", refuse)
+        path = tmp_path / "snaps.hpd"
+        write_matrix(path, scale * synthetic_decay(30, 40, 0.1, 3).values)
+        out = tmp_path / "res"
+        assert run_cli("run", path, "--out", out, "--eps-star", 0.01,
+                       "--topology", "star", "--blocks", 2) == code
+        assert float(read_kv(out / "summary.txt")["certified_mean_error"]) >= 0.0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_truncated_input_exits_usage(self, synthetic_file, tmp_path, capsys):
         raw = synthetic_file.read_bytes()
@@ -459,6 +480,29 @@ class TestVerify:
                      "root-mode-bound", "node-mode-bounds"):
             assert f"check {name}: PASS" in text
         assert "verification passed" in text
+
+    @pytest.mark.parametrize("topology", ["star", "chain", "balanced"])
+    def test_error_certificate_passes_on_honest_runs(self, synthetic_file, tmp_path, capsys, topology):
+        out = tmp_path / "res"
+        assert run_cli("run", synthetic_file, "--out", out, "--eps-star", 0.01,
+                       "--topology", topology, "--block-size", 30) == 0
+        assert run_cli("verify", out, synthetic_file) == 0
+        assert "check error-certificate: PASS" in capsys.readouterr().out
+
+    def test_understated_tails_fail_the_certificate(self, tmp_path, capsys):
+        # a run that truncates, so its tails are not all zero
+        snaps = tmp_path / "snaps.hpd"
+        assert run_cli("gen", "synthetic", "--rows", 200, "--cols", 300,
+                       "--decay-rate", 0.05, "-o", snaps) == 0
+        out = tmp_path / "res"
+        assert run_cli("run", snaps, "--out", out, "--eps-star", 0.01,
+                       "--topology", "balanced", "--block-size", 30) == 0
+        for node in range(parse_tree_text((out / "tree.txt").read_text()).node_count):
+            edit_report(out / "report.tsv", node, discarded_tail_energy=0.0)
+        assert run_cli("verify", out, snaps) == 2
+        text = capsys.readouterr().out
+        assert "check error-certificate: FAIL" in text
+        assert "check mean-error: PASS" in text
 
     def test_corrupted_sigmas_fail(self, finished_run, capsys):
         out, snaps = finished_run

@@ -23,6 +23,7 @@ from hapod import (
     build_balanced,
     build_chain,
     build_star,
+    certified_squared_error,
     derive_maps,
     distribute_columns,
     error_bound,
@@ -999,6 +1000,51 @@ class TestIncrementalSession:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestCertificate:
+    """The tails the nodes discarded, with each node's rounding allowance,
+    bound the error the run actually leaves."""
+
+    TARGET = 1e-2
+
+    @staticmethod
+    def allowance(reports):
+        u = float(np.finfo(np.float64).eps)
+        return sum(u * r.input_count * r.input_energy for r in reports)
+
+    @pytest.mark.parametrize("shape", ["star", "balanced", "chain"])
+    def test_tails_bound_the_measured_error(self, shape):
+        block = synthetic_decay(60, 600, 0.05, 11)
+        tree = {"star": build_star(6), "balanced": build_balanced(6, 2), "chain": build_chain(6)}[shape]
+        leaves = distribute_columns(tree, block)
+        result = run_hapod(tree, leaves, assign_tolerances(tree, leaves, self.TARGET))
+        certified = result.aposteriori_error_bound ** 2
+        assert certified == pytest.approx(certified_squared_error(result.reports), rel=1e-12)
+        assert 0.0 < block.count * actual_mean_error(block, result.modes) <= certified
+        assert certified <= block.count * self.TARGET ** 2
+        assert all(r.input_energy > 0.0 for r in result.reports)
+
+    def test_session_bound_matches_the_chain_run(self):
+        rng = np.random.default_rng(71)
+        blocks = [SnapshotBlock(InnerProductSpace(30), rng.standard_normal((30, 30)) * np.exp(-0.2 * np.arange(30)))
+                  for _ in range(5)]
+        session = IncrementalSession(self.TARGET, 0.75, planned_block_count=len(blocks))
+        for b in blocks:
+            session.push(b)
+        inc = session.finalize()
+        joined = SnapshotBlock(blocks[0].space, np.hstack([b.values for b in blocks]))
+        assert 0.0 < joined.count * actual_mean_error(joined, inc.modes) <= inc.aposteriori_error_bound ** 2
+
+        tree = build_chain(len(blocks))
+        assignment = LeafAssignment(dict(zip(derive_maps(tree).leaf_order, blocks)))
+        tol = assign_tolerances(tree, assignment, self.TARGET, zero_leaf_tolerance=True)
+        ref = run_hapod(tree, assignment, tol)
+        # the bottom leaf and the later leaves pass their blocks through and decompose nothing
+        for r in (*inc.reports, *ref.reports):
+            assert (r.input_energy == 0.0) == (r.local_epsilon == 0.0)
+        slack = self.allowance(inc.reports) + self.allowance(ref.reports)
+        assert abs(inc.aposteriori_error_bound ** 2 - ref.aposteriori_error_bound ** 2) <= slack
 
 
 class TestOmegaTradeoff:

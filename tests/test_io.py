@@ -116,6 +116,17 @@ class TestBinaryErrors:
         with pytest.raises(ValueError, match="2-d|weights shape"):
             write_matrix(tmp_path / "w.hpd", values, weights)
 
+    def test_refused_write_leaves_the_file_as_it_was(self, tmp_path):
+        # the weights are checked before the file is opened
+        fresh, held = tmp_path / "fresh.hpd", tmp_path / "held.hpd"
+        write_matrix(held, np.eye(2))
+        before = held.read_bytes()
+        for path in (fresh, held):
+            with pytest.raises(ValueError, match="weights shape"):
+                write_matrix(path, np.ones((3, 2)), np.ones(4))
+        assert not fresh.exists()
+        assert held.read_bytes() == before
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.hpd"
         write_matrix(path, np.ones((4, 4)))

@@ -331,7 +331,7 @@ class TestGramRoutes:
             resid = block.space.weigh(block.values - (ms.modes * ms.sigmas[None, :]) @ ms.right.T)
             assert float(np.sum(resid * resid)) <= eps_sq
 
-    @pytest.mark.parametrize("kind, floor", [("svd", -14.0), ("gram", -10.0)])
+    @pytest.mark.parametrize("kind, floor", [("svd", -14.0), ("gram", -10.0), ("gram", -14.0)])
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(5, 60), cols=st.integers(5, 60),
            weighted=st.booleans(), rate=st.floats(0.05, 3.0),
@@ -349,6 +349,31 @@ class TestGramRoutes:
         eps_sq = 10.0 ** (floor * exponent) * total_sq
         out = pod(block, np.sqrt(eps_sq), PodBackend(kind))
         assert span_residual_sq(block.values, out.modes, weights) <= eps_sq
+
+    def test_budget_below_the_gram_floor_is_redone(self):
+        # at 1e-14 of the energy the Gramian route drops eigenvalues that sum
+        # past the budget (1.24 eps^2 for this block); its truncation cannot
+        # certify that, so the node is redone on "svd"
+        block = spectrum_block(np.random.default_rng(0), 9, 15, np.exp(-2.0 * np.arange(9)))
+        eps_sq = 1e-14 * float(np.sum(block.values ** 2))
+        out = pod(block, np.sqrt(eps_sq))
+        assert span_residual_sq(block.values, out.modes) <= eps_sq
+        assert out.tail_energy <= eps_sq
+
+    def test_burgers_merges_certify_their_tails(self):
+        # each merge's energy times the Gramian floor exceeds eps^2 here, so
+        # every merge is redone on "svd", whose tail is the explicit residual
+        data = burgers_snapshots(BurgersConfig(grid_size=500, step_count=1500, spark_probability=1e-2,
+                                               seed=0))
+        eps = 1e-6
+        prior = pod(SnapshotBlock(data.space, data.values[:, :100]), eps)
+        for a in range(100, data.count, 100):
+            fresh = SnapshotBlock(data.space, data.values[:, a : a + 100])
+            stacked = np.hstack([prior.scaled(), fresh.values])
+            prior = block_gramian_pod(prior, fresh, eps)
+            resid = span_residual_sq(stacked, prior.modes, data.space.weights)
+            assert prior.tail_energy <= eps * eps
+            assert prior.tail_energy == pytest.approx(resid, rel=0.0, abs=1e-6 * eps * eps)
 
     @pytest.mark.parametrize("kind", ["gram", "svd"])
     @pytest.mark.parametrize("dim, cols, rate", [(9, 15, 2.0), (17, 17, 1.0)])
