@@ -20,8 +20,8 @@ import scipy.linalg
 
 from . import io as hio
 from .datagen import BurgersConfig, GenerationError, burgers_snapshots, synthetic_decay
-from .hierarchy import (NodeReport, _check_rule, _chunk_counts, actual_mean_error, assign_tolerances,
-                        certified_squared_error, distribute_columns)
+from .hierarchy import (NodeReport, _check_rule, _chunk_counts, _rounding_allowance, actual_mean_error,
+                        assign_tolerances, certified_squared_error, distribute_columns)
 from .parallel import run_parallel
 from .pod import InnerProductSpace, ModeSet, PodBackend, _valid_sigmas, pod, truncation_rank
 from .tree import RootedTree, build_balanced, build_chain, build_star, derive_maps, format_tree_text, parse_tree_text
@@ -236,6 +236,8 @@ def cmd_run(args) -> int:
     _write_report(outdir / REPORT_FILE, result.reports, maps)
     if result.right_factor is not None:
         hio.write_matrix(outdir / RIGHT_FILE, result.right_factor)
+    else:  # no earlier run's right factor stays next to these modes
+        (outdir / RIGHT_FILE).unlink(missing_ok=True)
 
     # the tails certify the error, so the input is not read again
     mean_error = certified_squared_error(result.reports) / block.count
@@ -266,12 +268,9 @@ def cmd_run(args) -> int:
     met = mean_error <= target
     if met:
         verdict = f"<= target {target:.6g}"
-    else:
-        # projecting onto no mode leaves the mean energy ||S||^2_W / m, which
-        # the leaves measured
-        energy = sum(r.input_energy for r in result.reports if r.is_leaf)
-        floor = float(np.finfo(np.float64).eps) * energy / block.count
-        verdict = f"> target {target:.6g} (rounding floor u*||S||^2/m = {floor:.6g})"
+    else:  # the certificate never falls below the nodes' rounding allowances
+        floor = sum(_rounding_allowance(r) for r in result.reports) / block.count
+        verdict = f"> target {target:.6g} (rounding floor sum u*m_a*||S_a||^2/m = {floor:.6g})"
     print(
         f"{result.mode_count} modes for {block.count} snapshots; "
         f"certified mean error {mean_error:.6g} {verdict}; "
@@ -287,12 +286,13 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _oracle_count(values: np.ndarray, space: InnerProductSpace, epsilon: float) -> int:
-    """Mode count of one flat POD at the given tolerance, via dense SVD."""
+def _flat_pod(values: np.ndarray, space: InnerProductSpace, epsilon: float) -> tuple[int, np.ndarray]:
+    """Mode count of one flat POD at the given tolerance, via dense SVD, and
+    its singular values, none where it keeps every column without one."""
     if epsilon == 0.0 or values.shape[1] == 0:  # a flat POD at 0 keeps every column
-        return values.shape[1]
+        return values.shape[1], np.zeros(0)
     svals = scipy.linalg.svdvals(space.weigh(values))
-    return truncation_rank(svals, epsilon)
+    return truncation_rank(svals, epsilon), svals
 
 
 def cmd_verify(args) -> int:
@@ -356,7 +356,8 @@ def cmd_verify(args) -> int:
         ("mean-error", mean_err <= eps_star * eps_star,
          f"measured {mean_err:.6g} vs target {eps_star * eps_star:.6g}")
     )
-    certified = certified_squared_error(report) / snapshots.count
+    certificate = certified_squared_error(report)
+    certified = certificate / snapshots.count
     checks.append(
         ("error-certificate", mean_err <= certified,
          f"measured {mean_err:.6g} vs {certified:.6g} certified by the tails in {REPORT_FILE}")
@@ -365,15 +366,24 @@ def cmd_verify(args) -> int:
     worst, root = "", None
     for r in report:  # every node against one flat POD of its columns at its tolerance
         node, stated = r.node, r.output_mode_count
-        bound = _oracle_count(snapshots.values[:, maps.columns(node)], space, eps[node])
+        bound, svals = _flat_pod(snapshots.values[:, maps.columns(node)], space, eps[node])
         if node == tree.root:
-            root = stated, bound
+            root = r, bound, svals
         elif stated > bound and not worst:
             worst = f"node {node}: {stated} modes exceed flat-POD count {bound}"
-    (stated, bound), kept = root, mode_values.shape[1]
+    (row, bound, svals), kept = root, mode_values.shape[1]
+    stated = row.output_mode_count
     checks.append(("root-mode-bound", stated == kept <= bound,
                    f"{kept} modes, {stated} in {REPORT_FILE}, vs flat-POD count {bound} at its budget"))
     checks.append(("node-mode-bounds", not worst, worst or "every non-root node within its flat-POD count"))
+    # the stored spectrum against the flat one: no sigma_n^2 above sigma_n(S)^2
+    # beyond the root's rounding allowance, and no more energy left out than certified
+    stored, flat = sigmas * sigmas, np.pad(svals * svals, (0, max(0, sigmas.size - svals.size)))
+    excess = float(np.max(stored - flat[: stored.size], initial=0.0))
+    allowance, left_out = _rounding_allowance(row), float(np.sum(flat)) - float(np.sum(stored))
+    checks.append(("spectrum", excess <= allowance and left_out <= certificate,
+                   f"max sigma_n^2 - sigma_n(S)^2 = {excess:.3e} vs allowance {allowance:.3e}; "
+                   f"||S||^2_W - sum sigma_n^2 = {left_out:.6g} vs certified {certificate:.6g}"))
     return _report_checks(checks)
 
 

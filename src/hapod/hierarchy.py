@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pod import (InnerProductSpace, ModeSet, PodBackend, SnapshotBlock, _blas_ready, _leaf_step, _panel,
-                  _pooled_spread, _row_panels, _scaled, _valid_epsilon, block_gramian_pod, pod)
+                  _row_panels, _scaled, _valid_epsilon, block_gramian_pod, pod)
 from .tree import RootedTree, TreeMaps, build_chain, derive_maps
 
 __all__ = [
@@ -229,71 +228,59 @@ def error_bound(tree: RootedTree, tol: ToleranceAssignment, node: int | None = N
     return math.sqrt(sum(tol.epsilons[u] ** 2 for u in below))
 
 
+def _rounding_allowance(report: NodeReport) -> float:
+    """u * m_alpha * ||S_alpha||^2_W, the rounding allowance of a POD of
+    m_alpha = ``input_count`` columns of energy ``input_energy`` (u the
+    float64 machine epsilon; 0 for a node that decomposed nothing)."""
+    return float(np.finfo(np.float64).eps) * report.input_count * report.input_energy
+
+
 def certified_squared_error(reports) -> float:
     """The certified total squared projection error of a tree's output: the
     paper's induction bounds it by the summed tails of the reports, to which
-    each node adds u * m_alpha * ||S_alpha||^2_W, the rounding allowance of a
-    POD of m_alpha = ``input_count`` columns of energy ``input_energy`` (u
-    the float64 machine epsilon; 0 for a node that decomposed nothing)."""
-    u = float(np.finfo(np.float64).eps)
-    return sum(r.discarded_tail_energy + u * r.input_count * r.input_energy for r in reports)
+    each node adds its `_rounding_allowance`."""
+    return sum(r.discarded_tail_energy + _rounding_allowance(r) for r in reports)
 
 
-def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet, worker_count: int = 1) -> float:
+def actual_mean_error(snapshots: SnapshotBlock, modes: ModeSet) -> float:
     """Measured (1/m) * sum_j ||s_j - P s_j||^2 with P the orthogonal projection
-    onto the k modes U, over the row panels of `pod` (`_row_panels`).  Each
-    panel S_p, copied where BLAS cannot read it (an .hpd map), adds
-    ||S_p||^2_W and U_p^T W_p S_p in panel order; for orthonormal U the error
-    is ||S||^2_W - ||U^T W S||^2_F.  Its rounding error is a few
-    u * ||S||^2_W, so below 1e-3 * ||S||^2_W a second pass sums the explicit
-    residuals S_p - U_p (U^T W S) instead.  The columns run in groups whose
-    k x n product fits one `BATCH_BYTES` piece: one group unless k x m is
-    larger.  The panels run on worker_count threads (`_pooled_spread`) and
-    add up in panel order, so the value does not depend on worker_count."""
+    onto the k modes U, over the row panels of `pod` (`_row_panels`), in panel
+    order on the calling thread.  Each panel S_p, copied where BLAS cannot
+    read it (an .hpd map), adds ||S_p||^2_W and U_p^T W_p S_p; for
+    orthonormal U the error is ||S||^2_W - ||U^T W S||^2_F.  Its rounding
+    error is a few u * ||S||^2_W, so below 1e-3 * ||S||^2_W a second pass
+    sums the explicit residuals S_p - U_p (U^T W S) instead.  The columns run
+    in groups whose k x n product fits one `BATCH_BYTES` piece: one group
+    unless k x m is larger."""
     if not modes.orthonormal:
         raise ValueError("projection needs orthonormal modes (got a passthrough set)")
     if not snapshots.space.same_as(modes.space):
         raise ValueError("snapshots and modes live in different spaces")
-    if worker_count < 1:
-        raise ValueError(f"worker_count must be at least 1, got {worker_count}")
     m = snapshots.count
     if m == 0:
         return 0.0
-    with ThreadPoolExecutor(worker_count) as pool:
-        spread = _pooled_spread(pool, worker_count - 1)
-        left = sum(_squared_error(snapshots._part(snapshots.values[:, a:b]), modes, spread)
-                   for a, b in _row_panels(m, modes.count))
-    return left / m
+    return sum(_squared_error(snapshots._part(snapshots.values[:, a:b]), modes)
+               for a, b in _row_panels(m, modes.count)) / m
 
 
-def _squared_error(block: SnapshotBlock, modes: ModeSet, spread) -> float:
-    """sum_j ||s_j - P s_j||^2 over the block, for `actual_mean_error`."""
+def _squared_error(block: SnapshotBlock, modes: ModeSet) -> float:
+    """sum_j ||s_j - P s_j||^2 over the block, one panel copy at a time."""
     w = block.space.weights
-    panels = _row_panels(block.space.dimension, block.count)
-    spaces = [InnerProductSpace(b - a, None if w is None else w[a:b]) for a, b in panels]
+    panels = [(a, b, InnerProductSpace(b - a, None if w is None else w[a:b]))
+              for a, b in _row_panels(block.space.dimension, block.count)]
     total, coef = 0.0, 0.0
-
-    def gather(p):
-        a, b = panels[p]
-        s = _panel(block, a, b, spaces[p]).values
-        return float(np.sum(spaces[p].norms_sq(s))), spaces[p].gram(_blas_ready(modes.modes[a:b]), s)
-
-    def add(part):
-        nonlocal total, coef
-        total += part[0]
-        coef += part[1]
-
-    def residual(p):
-        a, b = panels[p]
-        r = _blas_ready(modes.modes[a:b]) @ coef
-        return float(np.sum(spaces[p].norms_sq(np.subtract(_panel(block, a, b, spaces[p]).values, r, out=r))))
-
-    spread(gather, len(panels), add)
+    for a, b, space in panels:
+        s = _panel(block, a, b, space).values
+        total += float(np.sum(space.norms_sq(s)))
+        coef += space.gram(_blas_ready(modes.modes[a:b]), s)
+        del s
     left = total - float(np.vdot(coef, coef))
     if left < 1e-3 * total:
-        parts = []
-        spread(residual, len(panels), parts.append)
-        left = sum(parts)
+        left = 0.0
+        for a, b, space in panels:
+            r = _blas_ready(modes.modes[a:b]) @ coef
+            left += float(np.sum(space.norms_sq(np.subtract(_panel(block, a, b, space).values, r, out=r))))
+            del r
     return left
 
 

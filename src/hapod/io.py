@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,12 +126,17 @@ def load_snapshots(path) -> SnapshotBlock:
     anything else must be the binary container, which is canonical and may
     carry inner-product weights.  A binary payload is not read into memory:
     the block's values are a read-only map of the file, so the file must not
-    change while the block is in use."""
+    change while the block is in use.  A matrix without rows is refused."""
     p = Path(path)
+    weights = None
     if p.suffix.lower() == ".csv":
-        values = np.loadtxt(p, delimiter=",", ndmin=2, dtype=np.float64)
-        return SnapshotBlock(InnerProductSpace(values.shape[0]), values)
-    values, weights = _map_payload(p)
+        with warnings.catch_warnings():  # an empty file is refused below, by name
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(p, delimiter=",", ndmin=2, dtype=np.float64)
+    else:
+        values, weights = _map_payload(p)
+    if values.shape[0] == 0:
+        raise ValueError(f"{path}: no rows, so no snapshot space")
     return SnapshotBlock(InnerProductSpace(values.shape[0], weights), values)
 
 

@@ -243,6 +243,17 @@ class TestRun:
         assert "--force" in capsys.readouterr().err
         assert run_cli(*args, "--force") == 0
 
+    def test_forced_untracked_run_drops_an_old_right_factor(self, synthetic_file, tmp_path):
+        # the right factor of a tracked run must not outlive its modes
+        out = tmp_path / "res"
+        assert run_cli("run", synthetic_file, "--out", out, "--eps-star", 0.01, "--topology", "chain",
+                       "--blocks", 3, "--track-right-factor") == 0
+        assert (out / "right_factor.hpd").exists()
+        assert run_cli("run", synthetic_file, "--out", out, "--eps-star", 0.05, "--topology", "star",
+                       "--blocks", 5, "--force") == 0
+        assert read_kv(out / "summary.txt")["track_right_factor"] == "0"
+        assert not (out / "right_factor.hpd").exists()
+
     def test_identical_invocations_are_byte_identical(self, synthetic_file, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -344,13 +355,28 @@ class TestRun:
         assert code == 3
         said = capsys.readouterr()
         assert "<= target" not in said.out
-        assert "> target 0.0001 (rounding floor u*||S||^2/m = " in said.out
+        assert "> target 0.0001 (rounding floor sum u*m_a*||S_a||^2/m = " in said.out
         assert "Traceback" not in said.err
         summary = read_kv(out / "summary.txt")
         assert float(summary["certified_mean_error"]) > 1e-4
         # the outputs stay for verify, which names the miss
         assert run_cli("verify", out, path) == 2
         assert "check mean-error: FAIL" in capsys.readouterr().out
+
+    def test_missed_target_names_the_certificates_floor(self, tmp_path, capsys):
+        # no node truncates at this target, so every tail is 0 and the whole
+        # certificate is the nodes' rounding allowance, which the message names
+        snaps = tmp_path / "snaps.hpd"
+        assert run_cli("gen", "synthetic", "--rows", 60, "--cols", 300,
+                       "--decay-rate", 0.05, "-o", snaps) == 0
+        out = tmp_path / "res"
+        assert run_cli("run", snaps, "--out", out, "--eps-star", 1e-8,
+                       "--topology", "star", "--blocks", 3) == 3
+        said = capsys.readouterr().out
+        floor = float(said.split("||S_a||^2/m = ", 1)[1].split(")", 1)[0])
+        certified = float(read_kv(out / "summary.txt")["certified_mean_error"])
+        assert floor > 1e-16
+        assert floor == pytest.approx(certified, rel=1e-5)
 
     @pytest.mark.parametrize("scale, code", [(1.0, 0), (1e150, 3)], ids=["met", "missed"])
     def test_no_pass_over_the_input_after_the_tree(self, tmp_path, monkeypatch, capsys, scale, code):
@@ -477,7 +503,7 @@ class TestVerify:
         assert run_cli("verify", out, snaps) == 0
         text = capsys.readouterr().out
         for name in ("sigmas-file", "modes-orthonormal", "mean-error",
-                     "root-mode-bound", "node-mode-bounds"):
+                     "root-mode-bound", "node-mode-bounds", "spectrum"):
             assert f"check {name}: PASS" in text
         assert "verification passed" in text
 
@@ -512,6 +538,17 @@ class TestVerify:
                 fh.write(f"{float(v)!r}\n")
         assert run_cli("verify", out, snaps) == 2
         assert "check sigmas-file: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scale", [1e3, 1e-3])
+    def test_scaled_sigmas_fail_the_spectrum(self, finished_run, capsys, scale):
+        # count, order and sign still hold; the dense singular values do not
+        out, snaps = finished_run
+        sigmas = read_floats(out / "sigmas.txt")
+        (out / "sigmas.txt").write_text("".join(f"{float(v)!r}\n" for v in scale * sigmas))
+        assert run_cli("verify", out, snaps) == 2
+        text = capsys.readouterr().out
+        assert "check sigmas-file: PASS" in text
+        assert "check spectrum: FAIL" in text
 
     def test_corrupted_modes_fail(self, finished_run, capsys):
         out, snaps = finished_run

@@ -266,9 +266,7 @@ class TestActualMeanError:
         assert 0 < out.count < cols
         resid = block.values - out.modes @ space.gram(out.modes, block.values)
         ref = float(np.sum(space.norms_sq(resid))) / cols
-        got = [actual_mean_error(block, out, workers) for workers in (1, 2, 3)]
-        assert got[0] == got[1] == got[2]
-        assert got[0] == pytest.approx(ref, rel=1e-12)
+        assert actual_mean_error(block, out) == pytest.approx(ref, rel=1e-12)
 
     def test_mapped_batches_reach_blas_aligned(self, tmp_path, monkeypatch):
         # an .hpd payload sits 23 bytes into the file: every row panel is
@@ -289,9 +287,8 @@ class TestActualMeanError:
             return real(space, a, b)
 
         monkeypatch.setattr(InnerProductSpace, "gram", spy)
-        got = [actual_mean_error(mapped, out, workers) for workers in (1, 2)]
-        assert got == [ref, ref]
-        assert len(aligned) == 2 * len(POD._row_panels(3000, 900))
+        assert actual_mean_error(mapped, out) == ref
+        assert len(aligned) == len(POD._row_panels(3000, 900))
         assert all(aligned)
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -311,10 +308,9 @@ class TestActualMeanError:
         ref = float(np.sum(space.norms_sq(resid))) / cols
         subtractions, real = [], np.subtract
         monkeypatch.setattr(np, "subtract", lambda *a, **k: subtractions.append(1) or real(*a, **k))
-        got = [actual_mean_error(block, out, workers) for workers in (1, 2)]
+        got = actual_mean_error(block, out)
         assert subtractions == []
-        assert got[0] == got[1]
-        assert got[0] == pytest.approx(ref, rel=1e-10)
+        assert got == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_batches_near_rounding_measure_the_residual(self, monkeypatch, weighted):
@@ -335,16 +331,16 @@ class TestActualMeanError:
         energy = float(np.sum(space.norms_sq(block.values))) / cols
         subtractions, real = [], np.subtract
         monkeypatch.setattr(np, "subtract", lambda *a, **k: subtractions.append(1) or real(*a, **k))
-        got = actual_mean_error(block, out, 2)
+        got = actual_mean_error(block, out)
         assert len(subtractions) == 5
         assert 0.0 <= got <= 1e-20 * energy
         assert abs(got - ref) <= 1e-24 * energy
 
     @pytest.mark.parametrize("dim, cols", [(8000, 300), (400, 4000)], ids=["tall", "wide"])
-    def test_two_workers_hold_two_panels(self, tmp_path, monkeypatch, dim, cols):
-        # a mapped block in 1 MiB row panels: each worker holds one aligned
-        # panel copy and its k x n product, the caller also the running sum
-        # U^T W S; 64 KiB of slack for the pool's bookkeeping.  A wide block's
+    def test_one_panel_at_a_time(self, tmp_path, monkeypatch, dim, cols):
+        # a mapped block in 1 MiB row panels: the calling thread holds one
+        # aligned panel copy and its k x n product, and the running sum
+        # U^T W S; 64 KiB of slack for NumPy's temporaries.  A wide block's
         # k x m product would outgrow a panel, so it runs in column groups
         # of n columns
         path = tmp_path / "block.hpd"
@@ -361,13 +357,13 @@ class TestActualMeanError:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            got = actual_mean_error(mapped, out, 2)
+            got = actual_mean_error(mapped, out)
             added = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         assert got == pytest.approx(ref, rel=1e-12)
         assert 0 < k < min(dim, cols)
-        assert added <= 2 * (POD.BATCH_BYTES + 8 * k * n) + 8 * k * n + 64 * 1024
+        assert added <= POD.BATCH_BYTES + 8 * k * n + 8 * k * n + 64 * 1024
 
     def test_rejects_passthrough_modes(self):
         block = SnapshotBlock(InnerProductSpace(3), np.eye(3))
@@ -375,13 +371,11 @@ class TestActualMeanError:
         with pytest.raises(ValueError):
             actual_mean_error(block, raw)
 
-    def test_rejects_other_spaces_and_no_workers(self):
+    def test_rejects_other_spaces(self):
         block = SnapshotBlock(InnerProductSpace(3), np.eye(3))
         modes = pod(block, 0.5)
         with pytest.raises(ValueError, match="different spaces"):
             actual_mean_error(SnapshotBlock(InnerProductSpace(3, np.full(3, 2.0)), np.eye(3)), modes)
-        with pytest.raises(ValueError, match="worker_count"):
-            actual_mean_error(block, modes, worker_count=0)
 
 
 class TestStackedInput:

@@ -178,6 +178,18 @@ class TestLoadSnapshots:
         assert np.allclose(a.values, b.values, rtol=0, atol=1e-15)
         assert a.space.weights is None
 
+    @pytest.mark.parametrize("name", ["e.csv", "e.hpd"])
+    def test_no_rows_are_refused_by_name(self, tmp_path, recwarn, name):
+        # an empty .csv would warn through NumPy and fail without a file name
+        path = tmp_path / name
+        if name.endswith(".csv"):
+            path.write_text("")
+        else:
+            write_matrix(path, np.zeros((0, 5)))
+        with pytest.raises(ValueError, match=f"{name}: no rows"):
+            load_snapshots(path)
+        assert len(recwarn) == 0
+
     def test_weighted_binary_builds_weighted_space(self, tmp_path):
         rng = np.random.default_rng(9)
         w = rng.uniform(0.5, 3.0, 4)
