@@ -301,6 +301,9 @@ def cmd_verify(args) -> int:
         if not (results / name).exists():
             raise FileNotFoundError(f"{results / name}: missing result file")
     summary = _read_kv(results / SUMMARY_FILE)
+    tracked = summary.get("track_right_factor") == "1"
+    if tracked and not (results / RIGHT_FILE).exists():
+        raise FileNotFoundError(f"{results / RIGHT_FILE}: missing result file of a tracked run")
 
     def within_cap(rows: int, cols: int) -> None:
         if rows * cols > args.cap:
@@ -347,6 +350,13 @@ def cmd_verify(args) -> int:
     else:
         drift = 0.0 if finite_modes else float("inf")
     checks.append(("modes-orthonormal", drift <= 1e-8, f"max Gramian drift {drift:.3e}"))
+    if tracked:  # one row per snapshot, one orthonormal column per mode
+        right, _ = hio.read_matrix(results / RIGHT_FILE)
+        shape = (snapshots.count, mode_values.shape[1])
+        right_drift = float(np.max(np.abs(right.T @ right - np.eye(right.shape[1])), initial=0.0))
+        checks.append(("right-factor", right.shape == shape and right_drift <= 1e-8,
+                       f"{right.shape[0]}x{right.shape[1]} for {shape[0]}x{shape[1]}, "
+                       f"max R^T R drift {right_drift:.3e}"))
     if not finite_modes:
         return _report_checks(checks)
 

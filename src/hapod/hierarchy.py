@@ -166,9 +166,11 @@ def distribute_columns(tree: RootedTree, block: SnapshotBlock, counts=None,
 
 def _check_rule(omega: float, target: float = 1.0) -> float:
     """The one check of the rule's parameters: the root's share omega of the
-    budget lies in (0, 1], so the root truncates, and target > 0."""
-    if not target > 0.0:
-        raise ValueError(f"target must be positive, got {target}")
+    budget lies in (0, 1], so the root truncates, and target > 0 with a
+    finite square, squared as a Python float so that NumPy warns of no
+    overflow."""
+    if not (target > 0.0 and math.isfinite(float(target) * float(target))):
+        raise ValueError(f"target must be positive with a finite square, got {target}")
     if not 0.0 < omega <= 1.0:
         raise ValueError(f"omega must lie in (0, 1], got {omega}")
     return omega

@@ -14,19 +14,20 @@ when it is tall, the transpose of its weighted values when it is wide, whose
 Gramian is the correlation matrix and whose left and right vectors swap
 places.  X is split into fixed row panels of about `BATCH_BYTES` each: the
 partial Gramians X_p^T W_p X_p are added in panel order, one
-eigendecomposition follows, and the products X_p psi / sigma are assembled a
-panel at a time.  A wide block's panels are column groups of at most d
-columns, each weighed and transposed when it runs, so X is never held whole
-and no panel is larger than the d x d partial Gramian it feeds.  The panels
-depend on the block's shape only, so the result does not depend on which
-threads run them.  A node whose panels have more rows than columns, so
-that each partial Gramian is smaller than its panel, submits them to the
-run's pool as futures, at most one per other worker ahead of the panel due
-next, and runs those no other thread has started; it alone adds the
-results, in panel order (`_pooled_spread`).  Any other node runs its panels
-on its own thread.  A block of one panel takes exactly the unpanelled route.
-The mean-error pass of `hapod.hierarchy` runs over the same row panels, so
-each data pass holds about one `BATCH_BYTES` piece per worker.
+eigendecomposition follows, and the product X psi / sigma is assembled a
+panel at a time and mended once: a tall block's modes, a wide block's right
+vectors.  A wide block's panels are column groups of at most d columns, each
+weighed and transposed when it runs, so X is never held whole and no panel
+is larger than the d x d partial Gramian it feeds.  The panels depend on the
+block's shape only, so the result does not depend on which threads run them.
+A node whose panels have more rows than columns, so that each partial
+Gramian is smaller than its panel, submits them to the run's pool as
+futures, at most one per other worker ahead of the panel due next, and runs
+those no other thread has started; it alone adds the results, in panel order
+(`_pooled_spread`).  Any other node runs its panels on its own thread.  A
+block of one panel takes exactly the unpanelled route.  The mean-error pass
+of `hapod.hierarchy` runs over the same row panels on the calling thread,
+one `BATCH_BYTES` piece at a time.
 A node below the root hands its parent one record (A, R, sigma, tail,
 energy), `_NodeOutput`, whose scaled modes sigma phi are A R: R is None for raw
 columns A, the sigmas for orthonormal modes A, or the k right vectors psi of
@@ -47,11 +48,11 @@ semidefinite with norm below the noise floor that truncation drops anyway.
 When U has q < m rows, the q x q matrix U U^T is eigendecomposed instead,
 U U^T = V Lambda V^T, and psi = P U^T V Lambda^(-1/2); PDE snapshots are
 numerically low rank, so q is often a fraction of m.  Such psi drift from
-orthonormal by about u * lambda_1 / lambda_r, and the modes X psi / sigma of
-every tall block by u * sigma_1^2 / sigma_r^2; one Cholesky step of their
-Gramian restores either, for the kept columns only.  A full-rank G and the
-correlation matrix of a wide block are solved whole; their eigenvectors come
-out orthonormal, as do singular vectors.
+orthonormal by about u * lambda_1 / lambda_r, and every product X psi /
+sigma by u * sigma_1^2 / sigma_r^2; one Cholesky step of their Gramian, in
+the inner product of their space, restores either, for the kept columns
+only.  A full-rank G and the correlation matrix of a wide block are solved
+whole; their eigenvectors come out orthonormal, as do singular vectors.
 
 Everything works in R^d equipped with an optional strictly positive diagonal
 weight vector; without weights the inner product is the Euclidean one.
@@ -107,10 +108,13 @@ def _valid_sigmas(sigmas) -> np.ndarray:
 
 
 def _valid_epsilon(epsilon) -> float:
-    """The one check of a truncation tolerance: finite and nonnegative."""
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"tolerances must be finite and nonnegative, got {epsilon}")
-    return float(epsilon)
+    """The one check of a truncation tolerance: nonnegative with a finite
+    square, the budget epsilon^2, squared as a Python float so that NumPy
+    warns of no overflow."""
+    e = float(epsilon)
+    if not (e >= 0.0 and np.isfinite(e * e)):
+        raise ValueError(f"tolerances must be nonnegative with a finite square, got {epsilon}")
+    return e
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +294,7 @@ class ModeSet:
     ``orthonormal=False`` marks the epsilon = 0 passthrough convention: the
     columns are raw snapshots, all sigmas are exactly one and nothing was
     decomposed.  ``tail_energy`` is the energy discarded by truncation, as
-    certified by the route (`_gram_tail`), ``right`` optionally carries the
+    certified by the route (`_truncation`), ``right`` optionally carries the
     matching right singular vectors (m x N, orthonormal columns in the
     Euclidean sense), and ``input_energy`` is the block's energy ||S||^2_W
     that the POD measured, 0 when nothing was decomposed.  Its arrays are
@@ -366,7 +370,7 @@ class PodBackend:
     ``DEFAULT_GRAM_CUTOFF * sigma_max * m`` is dropped.  That drops far
     less energy than the Gramian floor, so the svd kind keeps the tail bound
     at tolerances too small for the gram kind to resolve; a gram truncation
-    that cannot certify its tail is redone on it (`_gram_tail`).
+    that cannot certify its tail is redone on it (`_truncation`).
     """
 
     kind: str = "gram"
@@ -437,17 +441,6 @@ def _mended(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return a
 
 
-def _finish_modes(modes, right, space, drifts=True, owned=False):
-    # Only the method of snapshots' modes S psi / sigma drift from
-    # orthonormal, by about u * sigma_1^2 / sigma_r^2 (up to 2.4e-5 on a
-    # Burgers chain); eigenvectors and singular vectors are orthonormal as
-    # they come (`_range_eigh` mends its reduced ones), so their Gramian is
-    # never formed.
-    if drifts and modes.shape[1]:
-        modes = _mended(modes, space.gram(modes, modes))
-    return _fix_signs(modes, right, owned)
-
-
 def _above_floor(values: np.ndarray, factor: float) -> np.ndarray:
     """The descending values at or above factor * values[0]; none if values[0] <= 0."""
     if not values.size or values[0] <= 0.0:
@@ -455,10 +448,14 @@ def _above_floor(values: np.ndarray, factor: float) -> np.ndarray:
     return values[values >= factor * values[0]]
 
 
-def _truncation(lam, epsilon, total, m):
-    """The kept sigmas and the discarded tail energy of a block of m columns
-    whose squared singular values above the noise cutoff are lam, descending,
-    and whose energy measured from its entries is total."""
+def _truncation(lam, epsilon, total, m, kind):
+    """The kept sigmas of a block of m columns whose squared singular values
+    above the noise cutoff are lam, descending, and whose energy measured
+    from its entries is total, and the tail the route of `kind` certifies:
+    on "svd" the sum of the dropped lam; on "gram" total less the kept
+    sigma^2, clipped at 0, or None, so the node is redone on "svd", when that
+    exceeds epsilon^2 or the route's own floor DEFAULT_GRAM_CUTOFF * m * total
+    does, below which eigenvalues it dropped may sum past the budget."""
     sig = np.sqrt(lam)
     rank = truncation_rank(sig, epsilon)
     # lam sums to the block's energy only up to the solver's rounding, so a
@@ -466,19 +463,13 @@ def _truncation(lam, epsilon, total, m):
     # the measured energy, with room for its own rounding, fits the budget
     if rank == 0 and total * (1.0 + DEFAULT_GRAM_CUTOFF * m) > epsilon * epsilon:
         rank = 1
-    return sig[:rank], float(np.sum(lam[rank:]))
-
-
-def _gram_tail(sig, epsilon, total, m):
-    """The tail a "gram" truncation of m columns certifies: the measured
-    energy total less the kept sigma^2, clipped at 0.  None when the route
-    cannot certify its budget, so the node is redone on "svd": when that tail
-    exceeds epsilon^2, or the route's own floor DEFAULT_GRAM_CUTOFF * m *
-    total does, below which eigenvalues it dropped may sum past the budget."""
+    sig = sig[:rank]
+    if kind == "svd":
+        return sig, float(np.sum(lam[rank:]))
     tail = total - float(np.sum(sig * sig))
     if max(tail, DEFAULT_GRAM_CUTOFF * m * total) > epsilon * epsilon:
-        return None
-    return max(tail, 0.0)
+        return sig, None
+    return sig, max(tail, 0.0)
 
 
 def _descending_eigh(g: np.ndarray, factor: float):
@@ -608,10 +599,11 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     block
         Snapshots as columns; may have zero columns.
     epsilon
-        Finite, nonnegative truncation tolerance (`_valid_epsilon`).  The
-        discarded tail satisfies sum_{n>N} sigma_n^2 <= epsilon^2.  Zero
-        requests the passthrough convention: the raw snapshots come back
-        with unit sigmas, right vectors I and ``orthonormal=False``.
+        Nonnegative truncation tolerance with a finite square
+        (`_valid_epsilon`).  The discarded tail satisfies sum_{n>N}
+        sigma_n^2 <= epsilon^2.  Zero requests the passthrough convention:
+        the raw snapshots come back with unit sigmas, right vectors I and
+        ``orthonormal=False``.
     backend
         Eigendecomposition of the smaller squared matrix ("gram", default:
         the Gramian for m <= d columns, the correlation matrix beyond, each
@@ -634,8 +626,8 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
     -------
     ModeSet
         Modes orthonormal in the block's inner product, sigmas descending.
-        A "gram" truncation whose tail `_gram_tail` cannot certify is redone
-        once on "svd", so every reported tail bounds what was discarded.
+        A "gram" truncation `_truncation` cannot certify is redone once on
+        "svd", so every reported tail bounds what was discarded.
     """
     _valid_epsilon(epsilon)
     backend = backend or PodBackend()
@@ -656,11 +648,9 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
         lam = s * s
     elif m:
         lam, vectors, total, product = _gram_step(block, epsilon, spread)
-    sig, tail = _truncation(lam, epsilon, total, m)
-    if backend.kind == "gram":
-        tail = _gram_tail(sig, epsilon, total, m)
-        if tail is None:
-            return pod(block, epsilon, PodBackend("svd"), want_right, spread)
+    sig, tail = _truncation(lam, epsilon, total, m, backend.kind)
+    if tail is None:
+        return pod(block, epsilon, PodBackend("svd"), want_right, spread)
     if not lam.size:
         # right keeps one row per input column so stacked factors stay aligned
         return ModeSet(space, lam, np.zeros((d, 0)), tail_energy=tail,
@@ -675,8 +665,7 @@ def pod(block: SnapshotBlock, epsilon: float, backend: PodBackend | None = None,
             modes, right = product(coef), psi
         else:
             modes, right = space.unweigh(psi), product(coef) if want_right else None
-    modes, right = _finish_modes(modes, right if want_right else None, space,
-                                 drifts=backend.kind == "gram" and m <= d, owned=True)
+    modes, right = _fix_signs(modes, right if want_right else None, owned=True)
     return ModeSet(space, sig, modes, tail_energy=tail, right=right, input_energy=total)
 
 
@@ -685,8 +674,10 @@ def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool = F
     assembly: (lam, vectors, total, product), the eigenvalues above the noise
     floor and ``vectors(n)`` of the solve, the energy measured from the
     Gramian, and ``product(coef)``, X @ coef assembled over the row panels of
-    X.  With `pass_full`, on a tall block, lam is None, and nothing is
-    solved, when every eigenvalue of G exceeds epsilon^2 (see `_leaf_step`)."""
+    X and mended in X's inner product (`_mended`): X psi / sigma, a tall
+    block's modes or a wide one's right vectors, comes out orthonormal.  With
+    `pass_full`, on a tall block, lam is None, and nothing is solved, when
+    every eigenvalue of G exceeds epsilon^2 (see `_leaf_step`)."""
     space = block.space
     m, d = block.count, space.dimension
     wide = m > d
@@ -765,7 +756,7 @@ def _gram_step(block: SnapshotBlock, epsilon: float, spread, pass_full: bool = F
                 stack.times(slice(a, b), coef, out[a:b])
 
         spread(fill, len(panels))
-        return out
+        return _mended(out, (InnerProductSpace(m) if wide else space).gram(out, out))
 
     return lam, vectors, total, product
 
@@ -777,7 +768,7 @@ def _leaf_step(block: SnapshotBlock, epsilon: float, backend: PodBackend | None,
     Cholesky of G - epsilon^2 I succeeds, truncation would keep every column,
     so the leaf takes `pod`'s epsilon = 0 passthrough, its raw columns with
     unit sigmas, but reports the energy it measured.  A tall "gram" block
-    whose truncation `_gram_tail` certifies stops after its eigensolve: its
+    whose truncation `_truncation` certifies stops after its eigensolve: its
     own columns S with its k right vectors psi, whose product S psi is the
     scaled modes sigma phi the parent stacks, so no d x k modes are formed,
     mended or sign-fixed; one it cannot certify is redone on "svd".  Any
@@ -787,8 +778,7 @@ def _leaf_step(block: SnapshotBlock, epsilon: float, backend: PodBackend | None,
         lam, vectors, total, _ = _gram_step(block, epsilon, spread, pass_full=True)
         if lam is None:  # truncation would keep every column
             return _scaled(pod(block, 0.0))._replace(input_energy=total), None
-        sig, _ = _truncation(lam, epsilon, total, m)
-        tail = _gram_tail(sig, epsilon, total, m)
+        sig, tail = _truncation(lam, epsilon, total, m, "gram")
         if tail is not None:
             # a contiguous copy: BLAS takes no reversed eigenvector columns
             psi = _read_only(np.ascontiguousarray(vectors(sig.size)))

@@ -460,6 +460,24 @@ class TestRun:
         assert "Traceback" not in err
         assert not (out / "modes.hpd").exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        (["run", "{snaps}", "--out", "{out}", "--eps-star", 1e200, "--topology", "star", "--blocks", 4],
+         "target must be positive with a finite square, got 1e+200"),
+        # the target squares, but the root's sqrt(40) * 0.75 * 1e154 does not
+        (["run", "{snaps}", "--out", "{out}", "--eps-star", 1e154, "--topology", "chain", "--blocks", 4],
+         "with a finite square, got 4.74"),
+        (["bench", "--sizes", 50, "--rows", 20, "--eps-star", 1e300], "with a finite square, got 7.07"),
+    ], ids=["star-target", "chain-root", "bench"])
+    def test_squares_that_overflow_exit_usage(self, tmp_path, capsys, argv, named):
+        snaps, out = tmp_path / "s.hpd", tmp_path / "o"
+        assert run_cli("gen", "synthetic", "--rows", 30, "--cols", 40, "--decay-rate", 0.1, "-o", snaps) == 0
+        capsys.readouterr()
+        assert run_cli(*[str(a).format(snaps=snaps, out=out) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+        assert not (out / "modes.hpd").exists()
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_exit_before_the_set_up(self, synthetic_file, tmp_path, capsys,
                                                       workers):
@@ -505,7 +523,47 @@ class TestVerify:
         for name in ("sigmas-file", "modes-orthonormal", "mean-error",
                      "root-mode-bound", "node-mode-bounds", "spectrum"):
             assert f"check {name}: PASS" in text
+        assert "right-factor" not in text  # the run tracked none
         assert "verification passed" in text
+
+    @pytest.fixture
+    def wide_snapshots(self, tmp_path):
+        # wide nodes, whose right vectors drifted by 5.5e-7 before they were mended
+        snaps = tmp_path / "wide.hpd"
+        assert run_cli("gen", "synthetic", "--rows", 50, "--cols", 3000, "--decay-rate", 0.4,
+                       "--seed", 2, "-o", snaps) == 0
+        return snaps
+
+    @pytest.mark.parametrize("topology", ["star", "chain", "balanced"])
+    def test_tracked_runs_pass_the_right_factor(self, wide_snapshots, tmp_path, capsys, topology):
+        out = tmp_path / "res"
+        assert run_cli("run", wide_snapshots, "--out", out, "--eps-star", 1e-7, "--topology", topology,
+                       "--blocks", 3, "--track-right-factor") == 0
+        assert run_cli("verify", out, wide_snapshots) == 0
+        assert "check right-factor: PASS (3000x31 for 3000x31" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("corrupt, code", [
+        (lambda r: r * np.where(np.arange(r.shape[1]) == 0, 2.0, 1.0), 2),
+        (lambda r: r[1:], 2),
+        (None, 1),
+    ], ids=["column-doubled", "row-dropped", "missing"])
+    def test_bad_right_factor_fails(self, wide_snapshots, tmp_path, capsys, corrupt, code):
+        out = tmp_path / "res"
+        assert run_cli("run", wide_snapshots, "--out", out, "--eps-star", 1e-7, "--topology", "star",
+                       "--blocks", 3, "--track-right-factor") == 0
+        capsys.readouterr()
+        if corrupt is None:
+            (out / "right_factor.hpd").unlink()
+        else:
+            write_matrix(out / "right_factor.hpd", corrupt(read_matrix(out / "right_factor.hpd")[0]))
+        assert run_cli("verify", out, wide_snapshots) == code
+        said = capsys.readouterr()
+        if corrupt is None:
+            assert "right_factor.hpd: missing result file" in said.err
+            assert "Traceback" not in said.err
+        else:
+            assert "check right-factor: FAIL" in said.out
+            assert "check modes-orthonormal: PASS" in said.out
 
     @pytest.mark.parametrize("topology", ["star", "chain", "balanced"])
     def test_error_certificate_passes_on_honest_runs(self, synthetic_file, tmp_path, capsys, topology):

@@ -85,6 +85,19 @@ class TestAssignTolerances:
         with pytest.raises(ValueError, match="target"):
             assign_tolerances(build_star(2), {1: 3, 2: 3}, float("nan"))
 
+    def test_squares_that_overflow_are_refused(self):
+        # eps*^2 and every epsilon^2 must be finite, or the budgets overflow
+        with pytest.raises(ValueError, match="target must be positive with a finite square"):
+            IncrementalSession(1e200, 0.75, 3)
+        with pytest.raises(ValueError, match="target must be positive with a finite square"):
+            assign_tolerances(build_star(2), {1: 3, 2: 3}, 1e200)
+        # the target squares, but the root's sqrt(40) * 0.75 * 1e154 does not
+        tree = build_chain(4)
+        with pytest.raises(ValueError, match="finite square, got 4.74"):
+            assign_tolerances(tree, {leaf: 10 for leaf in derive_maps(tree).leaves}, 1e154)
+        with pytest.raises(ValueError, match="finite square"):
+            ToleranceAssignment((0.1, 1e200))
+
     def test_omega_one_zeroes_everything_but_root(self):
         tree = build_star(3)
         tol = assign_tolerances(tree, {1: 4, 2: 4, 3: 4}, 0.5, omega=1.0)
@@ -470,8 +483,8 @@ class TestFactoredLeaves:
         # three row panels per leaf, about eight at the root
         monkeypatch.setattr(POD, "BATCH_BYTES", 8 * dim * 8)
         assert len(POD._row_panels(dim, per)) == 3
-        finished, real = [], POD._finish_modes
-        monkeypatch.setattr(POD, "_finish_modes", lambda modes, *a, **kw: finished.append(modes.shape)
+        finished, real = [], POD._fix_signs
+        monkeypatch.setattr(POD, "_fix_signs", lambda modes, *a, **kw: finished.append(modes.shape)
                             or real(modes, *a, **kw))
         runs = [run_parallel(tree, leaves, tol, worker_count=w, track_right_factor=True)[0]
                 for w in (1, 2, 3)]
@@ -696,6 +709,21 @@ class TestRightFactor:
         assert all(got == want for got, want in shapes)
         assert any(report.input_count < report.subordinate_count for report in result.reports)
         assert result.right_factor.shape == (block.count, result.mode_count)
+
+    @pytest.mark.parametrize("topology", ["star", "chain", "balanced"])
+    def test_wide_nodes_give_an_orthonormal_factor(self, topology):
+        # 50 x 3000 at eps* = 1e-7: the factor drifted by up to 6.5e-7 while
+        # wide nodes' right vectors went unmended
+        block = synthetic_decay(50, 3000, 0.4, seed=2)
+        tree = {"star": build_star(6), "chain": build_chain(6), "balanced": build_balanced(12, 2)}[topology]
+        leaves = distribute_columns(tree, block)
+        tol = assign_tolerances(tree, leaves, 1e-7, 0.75)
+        result, _ = run_parallel(tree, leaves, tol, worker_count=2, track_right_factor=True)
+        lhat, k = result.right_factor, result.mode_count
+        assert lhat.shape == (3000, k) and k > 20
+        assert np.max(np.abs(lhat.T @ lhat - np.eye(k))) <= 1e-12
+        resid = block.values - (result.modes.modes * result.modes.sigmas[None, :]) @ lhat.T
+        assert float(np.sum(resid * resid)) <= certified_squared_error(result.reports)
 
     @pytest.mark.parametrize("shape", ["one-node", "star-with-empty-leaf"])
     def test_one_node_and_empty_leaf_trees(self, shape):

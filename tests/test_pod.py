@@ -29,7 +29,7 @@ from hapod import (
     truncation_rank,
 )
 from hapod.io import load_snapshots, write_matrix
-from hapod.pod import _ColumnStack, _finish_modes, _fix_signs
+from hapod.pod import _ColumnStack, _fix_signs, _mended
 from helpers import naive_rank, oracle_pod_count, span_residual_sq
 
 POD = importlib.import_module("hapod.pod")  # hapod.pod is the function
@@ -238,7 +238,7 @@ class TestPodConventions:
             pod(block, -1e-9)
 
     @pytest.mark.parametrize("kind", ["gram", "svd"])
-    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 1e200])
     def test_rejects_nonfinite_epsilon(self, kind, eps):
         block = random_block(np.random.default_rng(3), 6, 4)
         with pytest.raises(ValueError, match="finite"):
@@ -330,6 +330,17 @@ class TestGramRoutes:
             assert np.max(np.abs(ms.right.T @ ms.right - np.eye(keep)), initial=0.0) <= 1e-8
             resid = block.space.weigh(block.values - (ms.modes * ms.sigmas[None, :]) @ ms.right.T)
             assert float(np.sum(resid * resid)) <= eps_sq
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_wide_right_vectors_come_out_orthonormal(self, weighted):
+        # X psi / sigma of a wide block drifted by about 1e-5 before the
+        # product was mended like a tall block's modes
+        data = synthetic_decay(50, 300, 0.4, 1)
+        weights = np.linspace(0.5, 2.0, 50) if weighted else None
+        block = SnapshotBlock(InnerProductSpace(50, weights), data.values)
+        out = pod(block, 1e-6, want_right=True)
+        assert out.right.shape == (300, out.count) and out.count > 20
+        assert np.max(np.abs(out.right.T @ out.right - np.eye(out.count))) <= 1e-12
 
     @pytest.mark.parametrize("kind, floor", [("svd", -14.0), ("gram", -10.0), ("gram", -14.0)])
     @settings(max_examples=100, deadline=None)
@@ -677,7 +688,7 @@ class TestFinishModes:
         right = np.linalg.qr(rng.standard_normal((10, n)))[0]
         assert np.max(np.abs(space.gram(drifted, drifted) - np.eye(n))) > 1e-8
 
-        modes, right_out = _finish_modes(drifted, right, space)
+        modes, right_out = _fix_signs(_mended(drifted, space.gram(drifted, drifted)), right)
         assert np.max(np.abs(space.gram(modes, modes) - np.eye(n))) <= 1e-12
         # same span: the drifted columns lie in the span of the result
         assert span_residual_sq(drifted, modes, weights) <= 1e-20
@@ -696,7 +707,7 @@ class TestFinishModes:
         drifted += 1e-6 * rng.standard_normal((dim, n))
         drifted[:, 4] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
-            _finish_modes(drifted, None, space)
+            _mended(drifted, space.gram(drifted, drifted))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), rows=st.integers(1, 9), cols=st.integers(1, 6),
@@ -743,7 +754,7 @@ class TestFinishModes:
         weights = rng.uniform(0.5, 2.0, dim) if weighted else None
         block = spectrum_block(rng, dim, cols, np.exp(-0.3 * np.arange(30)), weights)
         finishing, late = [], []
-        real_gram, real_finish = InnerProductSpace.gram, POD._finish_modes
+        real_gram, real_finish = InnerProductSpace.gram, POD._fix_signs
 
         def gram(self, a, b):
             if finishing:
@@ -755,7 +766,7 @@ class TestFinishModes:
             return real_finish(*args, **kwargs)
 
         monkeypatch.setattr(InnerProductSpace, "gram", gram)
-        monkeypatch.setattr(POD, "_finish_modes", finish_modes)
+        monkeypatch.setattr(POD, "_fix_signs", finish_modes)
         backend = PodBackend("gram" if route == "wide" else "svd")
         out = pod(block, 1e-6, backend, want_right=True)
         assert finishing and late == []
